@@ -30,11 +30,11 @@
 //! against a boot-restored oracle; the extra runs are compared
 //! pairwise and never folded into the state digest, so `--prelink`
 //! reports the same digest as the plain sweep.
-//! `--no-superblock` forces every system run onto the pure interpreter
-//! (no superblock translation). Translation is architecturally
-//! invisible, so the digest must be byte-identical with and without the
-//! flag — running the same sweep both ways is the scriptable A/B check
-//! CI's engine-equality shard performs.
+//! `--no-superblock` runs every system instruction as a 1-op step (no
+//! superblock translation). Translation is architecturally invisible,
+//! so the digest must be byte-identical with and without the flag; the
+//! pinned-digest tests in `tests/oracle_difftest.rs` run each contract
+//! sweep both ways.
 //! `--fleet-smoke` switches to tiny-fleet cases: 8–16 *identical*
 //! tenant processes booted through the arena/fork path
 //! (`MultiProcessSystem::new_fleet` — one class template, shared

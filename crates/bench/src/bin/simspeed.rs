@@ -11,9 +11,9 @@
 //! machine) for `--budget` simulated instructions
 //! each (best of `--reps` timed repetitions, default 3), prints the
 //! MIPS table, and appends a machine-readable run record to `--out`
-//! (default `BENCH_simspeed.json`). `--no-superblock` times the pure
-//! interpreter instead of the superblock translation engine — the
-//! engine A/B that quantifies what translation buys. `--validate`
+//! (default `BENCH_simspeed.json`). `--no-superblock` times 1-op steps
+//! instead of the superblock translation engine — the engine A/B that
+//! quantifies what translation buys. `--validate`
 //! skips the benchmark and only checks a file against the
 //! `dynlink-simspeed/1` schema — the timing-free mode CI uses. See `docs/PERF.md` for the
 //! methodology.

@@ -540,9 +540,10 @@ pub fn check_case_with_demand_invalidation(
 
 /// [`check_case`] with the superblock translation engine switched
 /// explicitly: the scriptable A/B axis (`difftest --no-superblock`
-/// runs the pure interpreter). Translation is architecturally
-/// invisible, so both settings must produce identical reports — the
-/// corpus replay and CI engine-equality shard pin exactly this.
+/// runs every instruction as a 1-op step). Translation is
+/// architecturally invisible, so both settings must produce identical
+/// reports — the corpus replay and the pinned-digest tests check
+/// exactly this.
 pub fn check_case_with_superblock(
     case: &FuzzCase,
     injection: Injection,
@@ -793,8 +794,8 @@ pub struct DiffReport {
 /// runs never fold into the state digest, so the `--prelink` digest is
 /// byte-identical to the lazy sweep's.
 ///
-/// `superblock = false` forces every system leg onto the pure
-/// interpreter (the oracle never translates either way). Translation is
+/// `superblock = false` runs every system leg as 1-op steps (the
+/// oracle never translates either way). Translation is
 /// architecturally invisible, so the digest must be byte-identical at
 /// both settings — `difftest --no-superblock` scripts exactly this A/B.
 #[allow(clippy::too_many_arguments)]
@@ -1486,8 +1487,8 @@ pub fn check_multi_case_with_demand_invalidation(
 /// [`check_multi_case`] with the superblock translation engine switched
 /// explicitly — the multi-process twin of [`check_case_with_superblock`].
 /// Cross-core shootdowns (patch broadcasts, module GC, demand eviction)
-/// must leave the translated path bit-identical to the interpreter, so
-/// both settings must match the same oracle digests.
+/// must leave the translated path bit-identical to 1-op steps, so both
+/// settings must match the same oracle digests.
 pub fn check_multi_case_with_superblock(
     case: &MultiFuzzCase,
     injection: Injection,
@@ -1726,7 +1727,7 @@ fn multi_prelink_arm(
 /// byte-identical to the historical single-core sweep.
 /// `prelink` enables the stable-linking axis (see [`run_difftest`]);
 /// the extra runs never fold into the state digest. `superblock = false`
-/// runs every system leg on the pure interpreter — the A/B axis behind
+/// runs every system leg as 1-op steps — the A/B axis behind
 /// `difftest --no-superblock`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_multi_difftest(
@@ -2155,7 +2156,7 @@ mod tests {
         let validate_on = check_case_with_superblock_validation(&case, Injection::None, true);
         assert_eq!(plain.failures, validate_on.failures);
         assert_eq!(plain.digest_fold, validate_on.digest_fold);
-        // The interpreter leg of the A/B: translation must be
+        // The 1-op leg of the A/B: translation must be
         // architecturally invisible, digest included.
         let engine_off = check_case_with_superblock(&case, Injection::None, false);
         assert!(engine_off.failures.is_empty(), "{:?}", engine_off.failures);

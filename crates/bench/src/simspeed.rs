@@ -89,8 +89,8 @@ pub const WORKLOADS: [&str; 4] = [
 
 /// The measured machine configuration: baseline hardware, with the
 /// superblock translation engine switched per the benchmark's engine
-/// axis (`simspeed --no-superblock` times the pure interpreter, the
-/// A/B that quantifies what translation buys).
+/// axis (`simspeed --no-superblock` times 1-op steps, the A/B that
+/// quantifies what translation buys).
 fn config(superblock: bool) -> MachineConfig {
     MachineConfig {
         superblock,

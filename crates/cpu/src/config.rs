@@ -187,7 +187,7 @@ pub struct MachineConfig {
     /// Purely a simulator speedup — architectural results, counters
     /// and digests are bit-identical either way (`difftest
     /// --no-superblock` is the scriptable A/B check). On by default;
-    /// disabling it forces the per-instruction interpreter.
+    /// disabling it runs every instruction as a 1-op step.
     pub superblock: bool,
     /// Whether each superblock dispatch revalidates the block's
     /// invalidation tags (space uid, code version, PLT epoch, eviction

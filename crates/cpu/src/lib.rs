@@ -27,9 +27,9 @@
 //!   ARM-flavoured trampolines in between) inserts `trampoline →
 //!   jump-target` into the ABTB and the GOT slot address into the Bloom
 //!   filter.
-//! * **Guard** — any retired store (or external/coherence store
-//!   notification) whose address hits the Bloom filter clears the ABTB
-//!   and the filter. With [`LinkAccel::AbtbNoBloom`] (§3.4) the filter
+//! * **Guard** — any retired store (or store reported through
+//!   [`Machine::broadcast_store`]) whose address hits the Bloom filter
+//!   clears the ABTB and the filter. With [`LinkAccel::AbtbNoBloom`] (§3.4) the filter
 //!   is absent and software must call [`Machine::invalidate_abtb`].
 //!
 //! The machine is functionally exact: enabling the accelerator never

@@ -1,9 +1,9 @@
 //! The machine: functional execution + microarchitectural accounting.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use dynlink_isa::{Inst, MemRef, Operand, Reg, VirtAddr};
+use dynlink_isa::{Inst, MemRef, Reg, VirtAddr};
 use dynlink_mem::{AddressSpace, MemError, Perms, PAGE_BYTES};
 use dynlink_uarch::{
     Abtb, BloomFilter, Btb, Cache, DirectionPredictor, FlushCause, PerfCounters,
@@ -13,7 +13,7 @@ use dynlink_uarch::{
 use crate::config::{MachineConfig, SwitchPolicy};
 use crate::events::{CpuError, HostCtx, HostFn, MarkEvent, RetireEvent, RetireObserver, RunExit};
 use crate::superblock::{
-    assign_fetch_runs, fuse_ops, translate_op, MicroOp, PreOp, Role, SbCache, SbOp, SuperBlock,
+    assign_fetch_runs, fuse_ops, lower, LoweredOp, MicroOp, Role, SbCache, SbOp, SuperBlock,
     MAX_BLOCK_OPS,
 };
 
@@ -91,14 +91,20 @@ struct Exec {
 }
 
 /// A predecoded slot: the instruction at a byte offset plus its
-/// precomputed PLT membership, or `None` where no instruction starts.
-type PredecodedSlot = Option<(Inst, bool)>;
+/// precomputed PLT membership and retire-pattern role, or `None` where
+/// no instruction starts.
+type PredecodedSlot = Option<(Inst, bool, Role)>;
+
+// The role rides in the slot's padding: a predecoded page stays 4096
+// slots of 40 bytes.
+const _: () = assert!(std::mem::size_of::<PredecodedSlot>() == 40);
 
 /// One page worth of predecoded instructions, tagged with everything
 /// that could invalidate it. Purely a simulator speedup: the dense
 /// `slots` array turns the per-instruction decode into an index load,
-/// and each entry carries its precomputed PLT membership so the retire
-/// stage never rescans `plt_ranges` for the common (executed-pc) case.
+/// and each entry carries its precomputed PLT membership and pattern
+/// role so the retire stage never rescans `plt_ranges` or re-derives
+/// the role for the common (executed-pc) case.
 /// Upper bound on live predecode-arena pages (~160 KiB each). Small
 /// multi-process runs never approach it; a fleet of thousands of
 /// *diverged* tenants (post-churn, every tenant private) would
@@ -122,7 +128,7 @@ struct PredecodedPage {
     /// `Core::plt_epoch` at decode time (re-declaring PLT ranges
     /// invalidates the cached `in_plt` flags).
     plt_epoch: u64,
-    /// One slot per byte offset: `Some((inst, in_plt))` where an
+    /// One slot per byte offset: `Some((inst, in_plt, role))` where an
     /// instruction was placed at decode time, `None` elsewhere.
     slots: Box<[PredecodedSlot]>,
 }
@@ -246,6 +252,23 @@ impl Shared {
         Ok(idx)
     }
 
+    /// Drains the invalidation bus: every store the active core retired
+    /// this instruction is snooped by every *other* core's Bloom filter
+    /// (cross-core §3.2 coherence) before the next instruction issues.
+    /// Empty — and free — on single-core machines or with the bus
+    /// disabled.
+    #[inline]
+    fn drain_bus(&mut self, others: &mut [&mut [Core]; 2]) {
+        if !self.bus.is_empty() {
+            for &addr in &self.bus {
+                for core in others.iter_mut().flat_map(|cores| cores.iter_mut()) {
+                    core.snoop_store(addr);
+                }
+            }
+            self.bus.clear();
+        }
+    }
+
     /// Tombstones the arena page for `(uid, pn)`, if any: removed from
     /// `page_index` and poisoned in place so per-core `last_page` memos
     /// stop revalidating against it, then queued for slot reuse — cores
@@ -261,17 +284,25 @@ impl Shared {
     }
 
     /// Decodes every placed instruction on `pc`'s page into a dense
-    /// slot array, pairing each with its PLT membership. Page-level
-    /// checks (mapped, executable, code kind) error against `pc` just
-    /// as `fetch_code(pc)` would.
+    /// slot array, pairing each with its PLT membership and pattern
+    /// role. Page-level checks (mapped, executable, code kind) error
+    /// against `pc` just as `fetch_code(pc)` would.
     fn decode_page(&self, pn: u64, pc: VirtAddr) -> Result<Box<[PredecodedSlot]>, MemError> {
         let mut slots = vec![None; PAGE_BYTES as usize].into_boxed_slice();
         let base = VirtAddr::new(pn * PAGE_BYTES);
         for (off, inst) in self.space.code_page_insts(pc)? {
-            slots[off as usize] = Some((inst, self.is_plt(base + u64::from(off))));
+            slots[off as usize] = Some((inst, self.is_plt(base + u64::from(off)), Role::of(&inst)));
         }
         Ok(slots)
     }
+}
+
+/// Splits the active core out of `cores`: the core that executes, and
+/// the others on either side of it, which only snoop the bus.
+fn split_active(cores: &mut [Core], active: usize) -> (&mut Core, [&mut [Core]; 2]) {
+    let (left, rest) = cores.split_at_mut(active);
+    let (core, right) = rest.split_first_mut().expect("active core in range");
+    (core, [left, right])
 }
 
 /// One simulated core: architectural register file plus every private
@@ -354,8 +385,8 @@ impl Core {
         self.cycle_millis / 1000
     }
 
-    /// Decodes the instruction at `pc` — plus its precomputed PLT flag —
-    /// through the shared predecoded-page arena.
+    /// Decodes the instruction at `pc` — plus its precomputed PLT flag
+    /// and pattern role — through the shared predecoded-page arena.
     ///
     /// Fast path: `pc` lands on the same page as this core's previous
     /// fetch and the page's tags are still current, so the answer is one
@@ -366,7 +397,7 @@ impl Core {
         &mut self,
         shared: &mut Shared,
         pc: VirtAddr,
-    ) -> Result<(Inst, bool), MemError> {
+    ) -> Result<(Inst, bool, Role), MemError> {
         let pn = pc.page_number(PAGE_BYTES);
         let off = pc.page_offset(PAGE_BYTES) as usize;
         let uid = shared.space.code_uid();
@@ -392,47 +423,40 @@ impl Core {
         // errors, including `NoInstruction`, are exactly what the
         // uncached path reports — and backfill the slot on success.
         let inst = shared.space.fetch_code(pc)?;
-        let in_plt = shared.is_plt(pc);
-        shared.predecoded[idx].slots[off] = Some((inst, in_plt));
-        Ok((inst, in_plt))
+        let entry = (inst, shared.is_plt(pc), Role::of(&inst));
+        shared.predecoded[idx].slots[off] = Some(entry);
+        Ok(entry)
     }
 
-    /// Instruction-side fetch accounting for one executed instruction.
-    fn charge_fetch(&mut self, asid: u64, pc: VirtAddr) {
-        if self.itlb.access(asid, pc).is_miss() {
-            self.counters.itlb_misses += 1;
-            self.charge_cause(self.cfg.penalties.tlb_walk, Cause::ITlb);
-        }
-        self.charge_icache(pc);
-    }
-
-    /// The I-cache half of [`Core::charge_fetch`], separable so the
-    /// fetch-run path can replay it per op when the folded tail does
-    /// not apply.
+    /// I-cache accounting for one instruction fetch; returns whether it
+    /// hit.
     #[inline]
-    fn charge_icache(&mut self, pc: VirtAddr) {
-        if self.icache.access(pc).is_miss() {
-            self.counters.icache_misses += 1;
-            let miss_cost = if self.l2.access(pc).is_hit() {
-                self.cfg.penalties.l2_hit
-            } else {
-                self.cfg.penalties.memory
-            };
-            self.charge_cause(miss_cost, Cause::ICache);
-            if self.cfg.icache_next_line_prefetch {
-                let next = pc.cache_line(self.cfg.icache.line_bytes) + self.cfg.icache.line_bytes;
-                self.icache.fill(next);
-                self.l2.fill(next);
-            }
+    fn charge_icache(&mut self, pc: VirtAddr) -> bool {
+        if self.icache.access(pc).is_hit() {
+            return true;
         }
+        self.counters.icache_misses += 1;
+        let miss_cost = if self.l2.access(pc).is_hit() {
+            self.cfg.penalties.l2_hit
+        } else {
+            self.cfg.penalties.memory
+        };
+        self.charge_cause(miss_cost, Cause::ICache);
+        if self.cfg.icache_next_line_prefetch {
+            let next = pc.cache_line(self.cfg.icache.line_bytes) + self.cfg.icache.line_bytes;
+            self.icache.fill(next);
+            self.l2.fill(next);
+        }
+        false
     }
 
-    /// Fetch accounting for a run of `k ≥ 1` consecutive same-line,
-    /// same-page fetches whose non-final ops cannot fault (the
-    /// [`SbOp::fetch_run`] contract). The first access is charged
-    /// exactly; for the tail the structural outcomes are already
-    /// determined, so the accounting folds to counter arithmetic plus
-    /// one real access that lands the final LRU stamp:
+    /// Fetch and base-cycle accounting for issuing a run of `k ≥ 1`
+    /// consecutive same-line, same-page fetches whose non-final ops
+    /// cannot fault (the [`SbOp::fetch_run`] contract; a single step is
+    /// the `k = 1` run). The first access is charged exactly; for the
+    /// tail the structural outcomes are already determined, so the
+    /// accounting folds to counter arithmetic plus one real access that
+    /// lands the final LRU stamp:
     ///
     /// * **I-TLB** — the entry is resident after the first access (a
     ///   miss fills it, nothing evicts mid-run: execution never touches
@@ -443,28 +467,15 @@ impl Core {
     ///   geometries can evict the just-filled line, making tail
     ///   outcomes (and their L2 probes, which interleave with data-side
     ///   L2 traffic) depend on execution order. In that case the caller
-    ///   must replay [`Core::charge_icache`] per tail op, in program
-    ///   order; `false` reports this.
-    fn charge_fetch_run(&mut self, asid: u64, pc: VirtAddr, k: u64) -> bool {
+    ///   must replay [`Core::charge_icache`] per tail instruction, in
+    ///   program order; `false` reports this.
+    #[inline]
+    fn charge_issue(&mut self, asid: u64, pc: VirtAddr, k: u64) -> bool {
         if self.itlb.access(asid, pc).is_miss() {
             self.counters.itlb_misses += 1;
             self.charge_cause(self.cfg.penalties.tlb_walk, Cause::ITlb);
         }
-        let icache_hit = self.icache.access(pc).is_hit();
-        if !icache_hit {
-            self.counters.icache_misses += 1;
-            let miss_cost = if self.l2.access(pc).is_hit() {
-                self.cfg.penalties.l2_hit
-            } else {
-                self.cfg.penalties.memory
-            };
-            self.charge_cause(miss_cost, Cause::ICache);
-            if self.cfg.icache_next_line_prefetch {
-                let next = pc.cache_line(self.cfg.icache.line_bytes) + self.cfg.icache.line_bytes;
-                self.icache.fill(next);
-                self.l2.fill(next);
-            }
-        }
+        let icache_hit = self.charge_icache(pc);
         if k > 1 {
             // Tail accesses 2..k are guaranteed hits on the entry the
             // first access just touched: fold them to counter
@@ -474,6 +485,9 @@ impl Core {
                 self.icache.fold_hits(k - 1);
             }
         }
+        let base = self.cfg.penalties.base_milli_cycles * k;
+        self.cycle_millis += base;
+        self.breakdown_millis[Cause::Base as usize] += base;
         icache_hit
     }
 
@@ -542,9 +556,10 @@ impl Core {
         Ok(())
     }
 
-    /// A store observed from *outside* this core — a bus broadcast from
-    /// another core or an external-agent notification — checked against
-    /// this core's Bloom filter exactly like a retired store.
+    /// A store observed from *outside* this core's pipeline — a bus
+    /// broadcast from another core or a [`Machine::broadcast_store`]
+    /// notification — checked against this core's Bloom filter exactly
+    /// like a retired store.
     fn snoop_store(&mut self, addr: VirtAddr) {
         if self.cfg.accel.has_bloom() && self.bloom.maybe_contains(addr.as_u64()) {
             self.counters.bloom_store_hits += 1;
@@ -650,6 +665,31 @@ impl Core {
         (arch_target, None)
     }
 
+    /// Resolves a conditional branch at `pc` against the direction
+    /// predictor and returns the next pc.
+    #[inline]
+    fn resolve_cond_branch(
+        &mut self,
+        pc: VirtAddr,
+        taken: bool,
+        target: VirtAddr,
+        fall: VirtAddr,
+    ) -> VirtAddr {
+        self.counters.branches += 1;
+        if self.bpred.predict(pc) != taken {
+            self.counters.branch_mispredictions += 1;
+            self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
+        }
+        self.bpred.update(pc, taken);
+        if taken {
+            // Taken branches occupy BTB entries (pressure model).
+            self.btb.update(pc, target);
+            target
+        } else {
+            fall
+        }
+    }
+
     fn push_stack(&mut self, shared: &mut Shared, value: u64) -> Result<(), MemError> {
         let sp = VirtAddr::new(self.reg(Reg::SP).wrapping_sub(8));
         self.set_reg(Reg::SP, sp.as_u64());
@@ -663,280 +703,65 @@ impl Core {
         Ok(value)
     }
 
-    /// Executes one (non-host-call) instruction functionally.
-    fn exec(&mut self, shared: &mut Shared, pc: VirtAddr, inst: Inst) -> Result<Exec, MemError> {
-        let asid = shared.space.asid();
-        let fall = pc + inst.encoded_len();
-        let mut loaded_slot = None;
-        let mut skipped = None;
-        let next_pc = match inst {
-            Inst::Alu { op, dst, src } => {
-                let rhs = self.operand(src);
-                let value = op.apply(self.reg(dst), rhs);
-                self.set_reg(dst, value);
-                fall
+    /// Executes one lowered instruction and retires it: functional
+    /// execution, bus drain, retire counters and pattern training —
+    /// everything but the fetch and base charges, which the caller's
+    /// fetch-run window holds. A single step, a block's main op and a
+    /// fused pre-op all retire through here. A fault parks the pc on the
+    /// faulting instruction.
+    ///
+    /// Inlined, with [`Core::exec_op`], into each call site: as an
+    /// out-of-line call it made 1-op steps measurably slower.
+    #[inline(always)]
+    fn step_op(
+        &mut self,
+        shared: &mut Shared,
+        others: &mut [&mut [Core]; 2],
+        asid: u64,
+        op: &LoweredOp,
+    ) -> Result<Exec, CpuError> {
+        let exec = match self.exec_op(shared, asid, op) {
+            Ok(exec) => exec,
+            Err(source) => {
+                self.pc = op.pc;
+                return Err(CpuError { pc: op.pc, source });
             }
-            Inst::MovImm { dst, imm } => {
-                self.set_reg(dst, imm);
-                fall
-            }
-            Inst::MovReg { dst, src } => {
-                let v = self.reg(src);
-                self.set_reg(dst, v);
-                fall
-            }
-            Inst::Lea { dst, mem } => {
-                let ea = self.effective_addr(mem);
-                self.set_reg(dst, ea.as_u64());
-                fall
-            }
-            Inst::Load { dst, mem } => {
-                let ea = self.effective_addr(mem);
-                let v = self.load_u64(shared, ea)?;
-                self.set_reg(dst, v);
-                fall
-            }
-            Inst::Store { src, mem } => {
-                let ea = self.effective_addr(mem);
-                let v = self.reg(src);
-                self.retire_store(shared, ea, v)?;
-                fall
-            }
-            Inst::Push { src } => {
-                let v = self.reg(src);
-                self.push_stack(shared, v)?;
-                fall
-            }
-            Inst::Pop { dst } => {
-                let v = self.pop_stack(shared)?;
-                self.set_reg(dst, v);
-                fall
-            }
-            Inst::CallDirect { target } => {
-                self.counters.branches += 1;
-                self.push_stack(shared, fall.as_u64())?;
-                self.ras.push(fall);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, target);
-                skipped = skip;
-                next
-            }
-            Inst::CallIndirectReg { target } => {
-                self.counters.branches += 1;
-                let t = VirtAddr::new(self.reg(target));
-                self.push_stack(shared, fall.as_u64())?;
-                self.ras.push(fall);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::CallIndirectMem { mem } => {
-                self.counters.branches += 1;
-                let ea = self.effective_addr(mem);
-                let t = VirtAddr::new(self.load_u64(shared, ea)?);
-                loaded_slot = Some(ea);
-                self.push_stack(shared, fall.as_u64())?;
-                self.ras.push(fall);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::JmpDirect { target } => {
-                self.counters.branches += 1;
-                let (next, skip) = self.resolve_btb_branch(asid, pc, target);
-                skipped = skip;
-                next
-            }
-            Inst::JmpIndirectMem { mem } => {
-                self.counters.branches += 1;
-                let ea = self.effective_addr(mem);
-                let t = VirtAddr::new(self.load_u64(shared, ea)?);
-                loaded_slot = Some(ea);
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::JmpIndirectReg { target } => {
-                self.counters.branches += 1;
-                let t = VirtAddr::new(self.reg(target));
-                let (next, skip) = self.resolve_btb_branch(asid, pc, t);
-                skipped = skip;
-                next
-            }
-            Inst::BranchCond {
-                cond,
-                lhs,
-                rhs,
-                target,
-            } => {
-                self.counters.branches += 1;
-                let taken = cond.eval(self.reg(lhs), self.operand(rhs));
-                let predicted = self.bpred.predict(pc);
-                if predicted != taken {
-                    self.counters.branch_mispredictions += 1;
-                    self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
-                }
-                self.bpred.update(pc, taken);
-                if taken {
-                    // Taken branches occupy BTB entries (pressure model).
-                    self.btb.update(pc, target);
-                    target
-                } else {
-                    fall
-                }
-            }
-            Inst::Ret => {
-                self.counters.branches += 1;
-                let predicted = self.ras.pop();
-                let actual = VirtAddr::new(self.pop_stack(shared)?);
-                if predicted != Some(actual) {
-                    self.counters.branch_mispredictions += 1;
-                    self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
-                }
-                actual
-            }
-            Inst::Nop => fall,
-            Inst::Halt => {
-                self.halted = true;
-                pc
-            }
-            Inst::Mark { id } => {
-                let ev = MarkEvent {
-                    id,
-                    instructions: self.counters.instructions + 1,
-                    cycles: self.cycles(),
-                };
-                self.marks.push(ev);
-                fall
-            }
-            Inst::HostCall { .. } => unreachable!("host calls handled by Machine::step"),
         };
-        Ok(Exec {
-            next_pc,
-            loaded_slot,
-            skipped,
-        })
+        shared.drain_bus(others);
+        self.retire(shared, asid, op.in_plt, op.role, &exec);
+        Ok(exec)
     }
 
-    /// Executes a fused register-only pre-op — the subset of
-    /// [`Core::exec_sbop`] arms that cannot fault, touch memory-system
-    /// state or transfer control — and retires it: instruction
-    /// counters and pattern training, exactly as if it had dispatched
-    /// on its own. (Its fetch and base-cycle charges are part of the
-    /// enclosing fetch-run window.)
+    /// Retire-stage bookkeeping for one executed instruction: counters,
+    /// then pattern training.
     #[inline]
-    fn exec_pre(&mut self, pre: &PreOp) {
-        match pre.op {
-            MicroOp::AluRR { op, dst, src } => {
-                let value = op.apply(self.reg(dst), self.reg(src));
-                self.set_reg(dst, value);
-            }
-            MicroOp::AluRI { op, dst, imm } => {
-                let value = op.apply(self.reg(dst), imm);
-                self.set_reg(dst, value);
-            }
-            MicroOp::MovImm { dst, imm } => self.set_reg(dst, imm),
-            MicroOp::MovReg { dst, src } => {
-                let v = self.reg(src);
-                self.set_reg(dst, v);
-            }
-            MicroOp::Lea { dst, mem } => {
-                let ea = self.effective_addr(mem);
-                self.set_reg(dst, ea.as_u64());
-            }
-            // `Nop` does nothing; other variants are excluded by the
-            // fusion precondition (`SbOp::fold_safe`).
-            _ => {}
-        }
+    fn retire(&mut self, shared: &Shared, asid: u64, in_plt: bool, role: Role, exec: &Exec) {
         self.counters.instructions += 1;
-        if pre.in_plt {
+        if in_plt {
             self.counters.trampoline_instructions += 1;
         }
-        // Pattern training for a register-only instruction: never a
-        // call or memory-indirect jump, so only the scratch-tolerance
-        // and pattern-break arms of `train_role` can apply.
-        if self.cfg.accel.has_abtb() {
-            match (pre.role, &mut self.pending) {
-                (Role::ScratchOnly, Some(p)) => {
-                    p.body += 1;
-                    if p.body > self.cfg.max_trampoline_body {
-                        self.pending = None;
-                    }
-                }
-                (Role::ScratchOnly, None) => {}
-                _ => self.pending = None,
+        if let Some(tramp) = exec.skipped {
+            if shared.is_plt(tramp) {
+                self.counters.trampolines_skipped += 1;
             }
         }
+        self.train_role(asid, role, exec);
     }
 
-    #[inline]
-    fn operand(&self, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.reg(r),
-            Operand::Imm(i) => i,
-        }
-    }
-
-    /// Retire-stage ABTB training (paper §3.2): a retired call arms the
-    /// detector; an immediately following memory-indirect jump (with up
-    /// to `max_trampoline_body` scratch-only instructions in between,
-    /// for ARM-style trampolines) trains the ABTB and the Bloom filter.
-    fn train_pattern(&mut self, asid: u64, inst: Inst, exec: &Exec) {
-        if !self.cfg.accel.has_abtb() {
-            return;
-        }
-        if inst.is_call() {
-            self.pending = if exec.skipped.is_none() {
-                Some(Pending {
-                    call_target: exec.next_pc,
-                    body: 0,
-                })
-            } else {
-                None
-            };
-            return;
-        }
-        if inst.is_mem_indirect_jump() {
-            if let (Some(p), Some(slot)) = (self.pending.take(), exec.loaded_slot) {
-                let key = self.tagged(asid, p.call_target);
-                self.counters.abtb_inserts += 1;
-                self.abtb.insert(key, exec.next_pc);
-                if self.cfg.accel.has_bloom() {
-                    // Raw (unsalted) key: any writer to this slot —
-                    // whatever its ASID — must be able to hit the
-                    // filter. See the coherence note on `tagged`.
-                    self.bloom.insert(slot.as_u64());
-                }
-            }
-            return;
-        }
-        // Scratch-only arithmetic may appear inside multi-instruction
-        // (ARM-flavoured) trampolines; anything else breaks the pattern.
-        let scratch_only = inst.written_reg() == Some(Reg::SCRATCH)
-            && !inst.is_control()
-            && !inst.is_load()
-            && !inst.is_store();
-        match (&mut self.pending, scratch_only) {
-            (Some(p), true) => {
-                p.body += 1;
-                if p.body > self.cfg.max_trampoline_body {
-                    self.pending = None;
-                }
-            }
-            (slot, _) => *slot = None,
-        }
-    }
-
-    /// Executes one translated micro-op functionally — the superblock
-    /// engine's counterpart of [`Core::exec`], arm for arm, with the
-    /// fall-through pc pre-resolved in the [`SbOp`] instead of derived
-    /// from `encoded_len` per execution.
-    #[inline]
-    fn exec_sbop(&mut self, shared: &mut Shared, asid: u64, sbop: &SbOp) -> Result<Exec, MemError> {
-        let pc = sbop.pc;
-        let fall = sbop.fall;
+    /// Executes one lowered instruction functionally — the only
+    /// instruction semantics in this crate.
+    #[inline(always)]
+    fn exec_op(
+        &mut self,
+        shared: &mut Shared,
+        asid: u64,
+        op: &LoweredOp,
+    ) -> Result<Exec, MemError> {
+        let pc = op.pc;
+        let fall = op.fall;
         let mut loaded_slot = None;
         let mut skipped = None;
-        let next_pc = match sbop.op {
+        let next_pc = match op.op {
             MicroOp::AluRR { op, dst, src } => {
                 let value = op.apply(self.reg(dst), self.reg(src));
                 self.set_reg(dst, value);
@@ -1039,20 +864,8 @@ impl Core {
                 rhs,
                 target,
             } => {
-                self.counters.branches += 1;
                 let taken = cond.eval(self.reg(lhs), self.reg(rhs));
-                let predicted = self.bpred.predict(pc);
-                if predicted != taken {
-                    self.counters.branch_mispredictions += 1;
-                    self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
-                }
-                self.bpred.update(pc, taken);
-                if taken {
-                    self.btb.update(pc, target);
-                    target
-                } else {
-                    fall
-                }
+                self.resolve_cond_branch(pc, taken, target, fall)
             }
             MicroOp::BranchRI {
                 cond,
@@ -1060,20 +873,8 @@ impl Core {
                 imm,
                 target,
             } => {
-                self.counters.branches += 1;
                 let taken = cond.eval(self.reg(lhs), imm);
-                let predicted = self.bpred.predict(pc);
-                if predicted != taken {
-                    self.counters.branch_mispredictions += 1;
-                    self.charge_cause(self.cfg.penalties.branch_mispredict, Cause::Mispredict);
-                }
-                self.bpred.update(pc, taken);
-                if taken {
-                    self.btb.update(pc, target);
-                    target
-                } else {
-                    fall
-                }
+                self.resolve_cond_branch(pc, taken, target, fall)
             }
             MicroOp::Ret => {
                 self.counters.branches += 1;
@@ -1107,10 +908,11 @@ impl Core {
         })
     }
 
-    /// Retire-stage ABTB training with the pattern role precomputed at
-    /// translation time — semantically identical to
-    /// [`Core::train_pattern`], minus the per-retire `Inst` predicate
-    /// chain.
+    /// Retire-stage ABTB training (paper §3.2), with the pattern role
+    /// computed at predecode: a retired call arms the detector; an
+    /// immediately following memory-indirect jump (with up to
+    /// `max_trampoline_body` scratch-only instructions in between, for
+    /// ARM-style trampolines) trains the ABTB and the Bloom filter.
     #[inline]
     fn train_role(&mut self, asid: u64, role: Role, exec: &Exec) {
         if !self.cfg.accel.has_abtb() {
@@ -1133,10 +935,16 @@ impl Core {
                     self.counters.abtb_inserts += 1;
                     self.abtb.insert(key, exec.next_pc);
                     if self.cfg.accel.has_bloom() {
+                        // Raw (unsalted) key: any writer to this slot —
+                        // whatever its ASID — must be able to hit the
+                        // filter. See the coherence note on `tagged`.
                         self.bloom.insert(slot.as_u64());
                     }
                 }
             }
+            // Scratch-only arithmetic may appear inside
+            // multi-instruction (ARM-flavoured) trampolines; anything
+            // else breaks the pattern.
             Role::ScratchOnly => {
                 if let Some(p) = &mut self.pending {
                     p.body += 1;
@@ -1563,15 +1371,19 @@ impl Machine {
         }
     }
 
-    /// The per-instruction hot path, monomorphized over whether retire
-    /// observers are attached so the observer-free dispatch loop pays
-    /// nothing for the hook. Callers check `halted` (and pick `OBSERVE`)
-    /// once per dispatch batch, not per instruction.
+    /// One instruction as a 1-op block, monomorphized over whether
+    /// retire observers are attached so the observer-free dispatch loop
+    /// pays nothing for the hook: lower the predecoded instruction and
+    /// retire it through [`Core::step_op`], exactly as a block would.
+    /// Only what no block can hold lives here: host calls (which need
+    /// the callback table and every core) and the demand fault-in
+    /// retry. Callers check `halted` (and pick `OBSERVE`) once per
+    /// dispatch batch, not per instruction.
     fn step_one<const OBSERVE: bool>(&mut self) -> Result<(), CpuError> {
         let active = self.active;
         let asid = self.shared.space.asid();
         let pc = self.cores[active].pc;
-        let (inst, in_plt) = match self.cores[active].fetch_decoded(&mut self.shared, pc) {
+        let (inst, in_plt, role) = match self.cores[active].fetch_decoded(&mut self.shared, pc) {
             Ok(v) => v,
             Err(MemError::NotPresent { .. }) => {
                 // Demand fetch fault: the page's extent is registered
@@ -1590,76 +1402,42 @@ impl Machine {
             }
             Err(source) => return Err(CpuError { pc, source }),
         };
-        {
-            let core = &mut self.cores[active];
-            core.charge_fetch(asid, pc);
-            core.cycle_millis += core.cfg.penalties.base_milli_cycles;
-            core.breakdown_millis[Cause::Base as usize] += core.cfg.penalties.base_milli_cycles;
-        }
-
-        let exec = if let Inst::HostCall { id } = inst {
-            {
+        self.cores[active].charge_issue(asid, pc, 1);
+        let exec = match lower(inst, pc, in_plt, role) {
+            Ok(op) => {
+                let (core, mut others) = split_active(&mut self.cores, active);
+                core.step_op(&mut self.shared, &mut others, asid, &op)?
+            }
+            Err(id) => {
                 let core = &mut self.cores[active];
-                let cost = core.cfg.penalties.host_call;
-                core.charge_cause(cost, Cause::HostCall);
+                core.charge_cause(core.cfg.penalties.host_call, Cause::HostCall);
+                // Split borrow: the callback table, the core array and
+                // the shared state are disjoint fields, so the callback
+                // can run against them while borrowed from the map in
+                // place — no remove/re-insert (two hash-table writes)
+                // per host call.
+                let f = self.host_fns.get_mut(&id.0).ok_or(CpuError {
+                    pc,
+                    source: MemError::NoInstruction { addr: pc },
+                })?;
+                let mut ctx = HostCtx {
+                    cores: &mut self.cores,
+                    active,
+                    shared: &mut self.shared,
+                    redirect: None,
+                };
+                f(&mut ctx);
+                let exec = Exec {
+                    next_pc: ctx.redirect.unwrap_or(pc + inst.encoded_len()),
+                    loaded_slot: None,
+                    skipped: None,
+                };
+                let (core, mut others) = split_active(&mut self.cores, active);
+                self.shared.drain_bus(&mut others);
+                core.retire(&self.shared, asid, in_plt, role, &exec);
+                exec
             }
-            // Split borrow: the callback table, the core array and the
-            // shared state are disjoint fields, so the callback can run
-            // against them while borrowed from the map in place — no
-            // remove/re-insert (two hash-table writes) per host call.
-            let f = self.host_fns.get_mut(&id.0).ok_or(CpuError {
-                pc,
-                source: MemError::NoInstruction { addr: pc },
-            })?;
-            let mut ctx = HostCtx {
-                cores: &mut self.cores,
-                active,
-                shared: &mut self.shared,
-                redirect: None,
-            };
-            f(&mut ctx);
-            let next_pc = ctx.redirect.unwrap_or(pc + inst.encoded_len());
-            Exec {
-                next_pc,
-                loaded_slot: None,
-                skipped: None,
-            }
-        } else {
-            self.cores[active]
-                .exec(&mut self.shared, pc, inst)
-                .map_err(|source| CpuError { pc, source })?
         };
-
-        // Drain the invalidation bus: every store the active core
-        // retired this instruction is snooped by every *other* core's
-        // Bloom filter (cross-core §3.2 coherence). Empty — and free —
-        // on single-core machines or with the bus disabled.
-        if !self.shared.bus.is_empty() {
-            let bus = std::mem::take(&mut self.shared.bus);
-            for &addr in &bus {
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    if i != active {
-                        core.snoop_store(addr);
-                    }
-                }
-            }
-            // Hand the allocation back for reuse.
-            self.shared.bus = bus;
-            self.shared.bus.clear();
-        }
-
-        // Retire. `in_plt` comes precomputed from the predecoded slot.
-        let core = &mut self.cores[active];
-        core.counters.instructions += 1;
-        if in_plt {
-            core.counters.trampoline_instructions += 1;
-        }
-        if let Some(tramp) = exec.skipped {
-            if self.shared.is_plt(tramp) {
-                core.counters.trampolines_skipped += 1;
-            }
-        }
-        core.train_pattern(asid, inst, &exec);
         if OBSERVE {
             let event = RetireEvent {
                 pc,
@@ -1670,8 +1448,11 @@ impl Machine {
                 in_plt,
             };
             for obs in &self.observers {
+                // An observer that panicked once must not turn every
+                // later observed run into a panic: its state is the
+                // caller's to judge, so keep delivering.
                 obs.lock()
-                    .expect("observer mutex poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .on_retire(&event);
             }
         }
@@ -1679,46 +1460,28 @@ impl Machine {
         Ok(())
     }
 
-    /// The batched dispatch loop behind [`Machine::run`] and
+    /// The dispatch loop behind [`Machine::run`] and
     /// [`Machine::run_until_marks`]: the observer check is hoisted into
     /// the monomorphization and the mark-count check is compiled out of
     /// plain runs.
+    ///
+    /// Observer-free runs dispatch translated superblocks (see
+    /// `crate::superblock`): resolve the block entered at the current
+    /// pc — successor memo, then dispatch index, then translation — and
+    /// execute its micro-ops tail-to-tail. Observed runs need a
+    /// per-instruction [`RetireEvent`], so they take 1-op steps, as
+    /// does any entry that cannot start a block (a host call, a code
+    /// hole or a fetch fault). Run bookkeeping (halt, budget, mark
+    /// count) is checked once per block, which is exact: budget cuts
+    /// stop mid-block at an op boundary, and `Mark` is a block terminal
+    /// so the mark count can only change where the loop already checks
+    /// it.
     fn run_loop<const OBSERVE: bool, const MARKS: bool>(
         &mut self,
         budget_end: u64,
         target_marks: usize,
     ) -> Result<RunExit, CpuError> {
-        if !OBSERVE && self.core().cfg.superblock {
-            // Observer-free runs dispatch translated superblocks;
-            // observed runs need a per-instruction `RetireEvent`, which
-            // only the interpreter produces.
-            return self.run_loop_superblock::<MARKS>(budget_end, target_marks);
-        }
-        while !self.core().halted {
-            if MARKS && self.core().marks.len() >= target_marks {
-                return Ok(RunExit::InstLimit);
-            }
-            if self.core().counters.instructions >= budget_end {
-                return Ok(RunExit::InstLimit);
-            }
-            self.step_one::<OBSERVE>()?;
-        }
-        Ok(RunExit::Halted)
-    }
-
-    /// The translated-block dispatch loop (see `crate::superblock`):
-    /// resolve the block entered at the current pc — successor memo,
-    /// then dispatch index, then translation — and execute its micro-ops
-    /// tail-to-tail. Run bookkeeping (halt, budget, mark count) is
-    /// checked once per block, which is exact: instructions retire only
-    /// inside `sb_run_block`, budget cuts stop mid-block at an op
-    /// boundary, and `Mark` is a block terminal so the mark count can
-    /// only change where the loop already checks it.
-    fn run_loop_superblock<const MARKS: bool>(
-        &mut self,
-        budget_end: u64,
-        target_marks: usize,
-    ) -> Result<RunExit, CpuError> {
+        let blocks = !OBSERVE && self.core().cfg.superblock;
         let mut prev: Option<u32> = None;
         loop {
             let core = &self.cores[self.active];
@@ -1731,37 +1494,28 @@ impl Machine {
             if core.counters.instructions >= budget_end {
                 return Ok(RunExit::InstLimit);
             }
-            let pc = core.pc;
-            let resets = self.sb.resets;
-            match self.sb_block_at(pc, prev) {
+            if blocks {
+                let pc = core.pc;
+                let budget = budget_end - core.counters.instructions;
+                let resets = self.sb.resets;
                 // A block whose first op is fused retires two
                 // instructions atomically; with only one left in the
-                // budget, a single interpreter step handles the
-                // boundary exactly.
-                Some(idx)
-                    if self.sb.blocks[idx as usize].ops[0].count()
-                        > budget_end - self.cores[self.active].counters.instructions =>
+                // budget, a 1-op step handles the boundary exactly.
+                if let Some(idx) = self
+                    .sb_block_at(pc, prev)
+                    .filter(|&idx| self.sb.blocks[idx as usize].ops[0].count() <= budget)
                 {
-                    self.step_one::<false>()?;
-                    prev = None;
-                }
-                Some(idx) => {
                     // A capacity reset inside `sb_block_at` retired the
                     // arena index `prev` refers to; skip the memo then.
                     if let Some(p) = prev.filter(|_| resets == self.sb.resets) {
                         self.sb.blocks[p as usize].succ = Some((pc, idx));
                     }
                     prev = Some(self.sb_run_chain::<MARKS>(idx, budget_end, target_marks)?);
+                    continue;
                 }
-                None => {
-                    // The entry cannot start a block: a host call, a
-                    // code hole, or a fetch fault. One interpreter step
-                    // handles it — including the demand fault-in/retry
-                    // path and its counters — then dispatch resumes.
-                    self.step_one::<false>()?;
-                    prev = None;
-                }
+                prev = None;
             }
+            self.step_one::<OBSERVE>()?;
         }
     }
 
@@ -1770,7 +1524,7 @@ impl Machine {
     /// unless [`MachineConfig::superblock_validate`] is off — the
     /// stale-translation negative control). Misses and stale hits
     /// retranslate in place; `None` means the entry instruction itself
-    /// is untranslatable and the caller must take one interpreter step.
+    /// is untranslatable and the caller must take a 1-op step.
     fn sb_block_at(&mut self, pc: VirtAddr, prev: Option<u32>) -> Option<u32> {
         let uid = self.shared.space.code_uid();
         let version = self.shared.space.code_version();
@@ -1824,29 +1578,29 @@ impl Machine {
     /// invisible: decoding mutates only the predecode arena, never
     /// counters or cycle charges, so looking ahead past instructions
     /// that may never execute is safe. Fetch errors (demand faults,
-    /// holes) just end the run — the interpreter services the condition
-    /// if execution actually reaches that pc.
+    /// holes) just end the run — a 1-op step services the condition if
+    /// execution actually reaches that pc.
     fn sb_translate(&mut self, entry: VirtAddr) -> Vec<SbOp> {
         let active = self.active;
         let entry_pn = entry.page_number(PAGE_BYTES);
-        let mut ops = Vec::new();
+        let mut insts = Vec::new();
         let mut pc = entry;
-        while ops.len() < MAX_BLOCK_OPS && pc.page_number(PAGE_BYTES) == entry_pn {
-            let Ok((inst, in_plt)) = self.cores[active].fetch_decoded(&mut self.shared, pc) else {
+        while insts.len() < MAX_BLOCK_OPS && pc.page_number(PAGE_BYTES) == entry_pn {
+            let Ok((inst, in_plt, role)) = self.cores[active].fetch_decoded(&mut self.shared, pc)
+            else {
                 break;
             };
-            let Some((op, terminal)) = translate_op(inst, pc, in_plt) else {
+            let Ok(op) = lower(inst, pc, in_plt, role) else {
                 break;
             };
-            let fall = op.fall;
-            ops.push(op);
-            if terminal {
+            insts.push(op);
+            if op.op.is_terminal() {
                 break;
             }
-            pc = fall;
+            pc = op.fall;
         }
         let cfg = &self.cores[active].cfg;
-        let mut ops = fuse_ops(ops, cfg.icache.line_bytes, cfg.page_bytes);
+        let mut ops = fuse_ops(insts, cfg.icache.line_bytes, cfg.page_bytes);
         assign_fetch_runs(&mut ops, cfg.icache.line_bytes, cfg.page_bytes);
         ops
     }
@@ -1866,13 +1620,11 @@ impl Machine {
     /// may predate a patch or eviction, and a stale successor must fall
     /// back to the dispatcher for retranslation.
     ///
-    /// Each micro-op retires with exactly the per-instruction sequence
-    /// of [`Machine::step_one`]: fetch charge, base charge, functional
-    /// execution, bus drain, retire counters, pattern training, pc
-    /// update. A budget cut stops at an op boundary with the pc on the
-    /// first unexecuted op (resuming there later translates a new
-    /// block mid-run); a memory fault parks the pc on the faulting op
-    /// and reports it exactly as the interpreter would.
+    /// Each instruction retires through [`Core::step_op`], as a 1-op
+    /// step's does, after its window's fetch and base charges. A budget
+    /// cut stops at an op boundary with the pc on the first unexecuted
+    /// op (resuming there later translates a new block mid-run); a
+    /// memory fault parks the pc on the faulting op.
     fn sb_run_chain<const MARKS: bool>(
         &mut self,
         mut idx: u32,
@@ -1888,55 +1640,11 @@ impl Machine {
         let version = shared.space.code_version();
         let epoch = shared.plt_epoch;
         let gen = sb.gen;
-        let validate = cores[active].cfg.superblock_validate;
         // Split the active core out of the slice once: the per-op body
         // then works through one straight `&mut Core` (no bounds check
-        // per use), and the bus drain still reaches every *other* core
-        // through the two remainder slices.
-        let (left, rest) = cores.split_at_mut(active);
-        let (core, right) = rest.split_first_mut().expect("active core in range");
-        let mut next_pc;
-        // Executes one main op and retires it: functional execution,
-        // bus drain, counters, pattern training — everything but the
-        // fetch/base charges, which the enclosing window handles.
-        // (A macro, not a closure, because it borrows `core`,
-        // `shared`, `left`, `right` and early-returns on faults.)
-        macro_rules! retire_main {
-            ($op:expr) => {{
-                let op = $op;
-                let exec = match core.exec_sbop(shared, asid, op) {
-                    Ok(e) => e,
-                    Err(source) => {
-                        core.pc = op.pc;
-                        return Err(CpuError { pc: op.pc, source });
-                    }
-                };
-                // Bus drain, as in `step_one`: stores this op retired
-                // are snooped by every other core before the next op
-                // issues.
-                if !shared.bus.is_empty() {
-                    let bus = std::mem::take(&mut shared.bus);
-                    for &addr in &bus {
-                        for c in left.iter_mut().chain(right.iter_mut()) {
-                            c.snoop_store(addr);
-                        }
-                    }
-                    shared.bus = bus;
-                    shared.bus.clear();
-                }
-                core.counters.instructions += 1;
-                if op.in_plt {
-                    core.counters.trampoline_instructions += 1;
-                }
-                if let Some(tramp) = exec.skipped {
-                    if shared.is_plt(tramp) {
-                        core.counters.trampolines_skipped += 1;
-                    }
-                }
-                core.train_role(asid, op.role, &exec);
-                next_pc = exec.next_pc;
-            }};
-        }
+        // per use), and the bus drain still reaches every *other* core.
+        let (core, mut others) = split_active(cores, active);
+        let validate = core.cfg.superblock_validate;
         loop {
             let blk = &sb.blocks[idx as usize];
             let ops = &blk.ops;
@@ -1961,7 +1669,7 @@ impl Machine {
                 n
             };
             debug_assert!(n > 0, "dispatched block with no budget or no ops");
-            next_pc = core.pc;
+            let mut next_pc = core.pc;
             // Fetch-run windows: the head op's window covers
             // `fetch_insts` instructions on one I-cache line of which
             // only the last can fault, so all fetch and base-cycle
@@ -1972,16 +1680,8 @@ impl Machine {
                 let head = &ops[i];
                 let k_ops = head.fetch_run as usize;
                 if i + k_ops <= n {
-                    let insts = u64::from(head.fetch_insts);
-                    let folded = if insts > 1 {
-                        core.charge_fetch_run(asid, head.first_pc(), insts)
-                    } else {
-                        core.charge_fetch(asid, head.first_pc());
-                        true
-                    };
-                    let base = core.cfg.penalties.base_milli_cycles * insts;
-                    core.cycle_millis += base;
-                    core.breakdown_millis[Cause::Base as usize] += base;
+                    let folded =
+                        core.charge_issue(asid, head.first_pc(), u64::from(head.fetch_insts));
                     // When the head fetch missed the I-cache the tail
                     // outcomes were not foldable: replay the I-cache
                     // side per instruction, in program order, skipping
@@ -1993,32 +1693,25 @@ impl Machine {
                                 core.charge_icache(pre.pc);
                             }
                             skip_first = false;
-                            core.exec_pre(pre);
+                            core.step_op(shared, &mut others, asid, pre)?;
                         }
                         if !folded && !skip_first {
-                            core.charge_icache(op.pc);
+                            core.charge_icache(op.main.pc);
                         }
                         skip_first = false;
-                        retire_main!(op);
+                        next_pc = core.step_op(shared, &mut others, asid, &op.main)?.next_pc;
                     }
                     i += k_ops;
                 } else {
                     // Budget-truncated window: charge per instruction,
-                    // in program order, exactly as the interpreter
-                    // would.
+                    // in program order, exactly as 1-op steps would.
                     for op in &ops[i..n] {
                         if let Some(pre) = &op.pre {
-                            core.charge_fetch(asid, pre.pc);
-                            core.cycle_millis += core.cfg.penalties.base_milli_cycles;
-                            core.breakdown_millis[Cause::Base as usize] +=
-                                core.cfg.penalties.base_milli_cycles;
-                            core.exec_pre(pre);
+                            core.charge_issue(asid, pre.pc, 1);
+                            core.step_op(shared, &mut others, asid, pre)?;
                         }
-                        core.charge_fetch(asid, op.pc);
-                        core.cycle_millis += core.cfg.penalties.base_milli_cycles;
-                        core.breakdown_millis[Cause::Base as usize] +=
-                            core.cfg.penalties.base_milli_cycles;
-                        retire_main!(op);
+                        core.charge_issue(asid, op.main.pc, 1);
+                        next_pc = core.step_op(shared, &mut others, asid, &op.main)?.next_pc;
                     }
                     i = n;
                 }
@@ -2044,7 +1737,7 @@ impl Machine {
                     && (next.version != version || next.plt_epoch != epoch || next.gen != gen))
                 // A fused first op retires two instructions atomically;
                 // if the remaining budget cannot cover it, hand back to
-                // the dispatcher, whose guard takes an interpreter step.
+                // the dispatcher, whose guard takes a 1-op step.
                 || next.ops[0].count() > budget_end - core.counters.instructions
             {
                 return Ok(idx);
@@ -2173,39 +1866,14 @@ impl Machine {
         core.l2.flush();
     }
 
-    /// Notifies the machine of a store performed by an agent outside it
-    /// entirely (DMA, or a host runtime rewriting a GOT slot behind the
-    /// simulator's back): the coherence-invalidation path of §3.2,
-    /// delivered to **every** core's Bloom filter unconditionally.
-    ///
-    /// Deprecated: this was the hand-crafted stand-in for coherence
-    /// invalidation while the machine only had one core. Software
-    /// stores now go through [`Machine::broadcast_store`] (identical on
-    /// one core, and honouring the coherence bus on many), and pipeline
-    /// stores broadcast at retire; only a model of a truly busless
-    /// outside agent still wants the unconditional delivery this
-    /// performs.
-    #[deprecated(
-        note = "use Machine::broadcast_store, which routes through the §3.2 coherence bus"
-    )]
-    pub fn external_store(&mut self, addr: VirtAddr) {
-        // Raw key: the Bloom filter is keyed by the slot address alone,
-        // never by the writer's ASID (see the coherence note on
-        // `Core::tagged`), so notifications from any agent hit.
-        for core in &mut self.cores {
-            core.snoop_store(addr);
-        }
-    }
-
     /// Notifies the machine of a store performed by software running on
     /// the **active core** without going through the simulated store
     /// pipeline (e.g. the runtime loader rewriting GOT slots during a
     /// rebind): the active core's Bloom filter is checked directly, and
     /// the store broadcasts to the other cores only when the coherence
-    /// bus is enabled. On a 1-core machine this is identical to
-    /// [`Machine::external_store`]; on a multi-core machine with
-    /// `coherence_bus` disabled, remote cores are left stale — the
-    /// negative control for cross-core staleness experiments.
+    /// bus is enabled. On a multi-core machine with `coherence_bus`
+    /// disabled, remote cores are left stale — the negative control for
+    /// cross-core staleness experiments.
     pub fn broadcast_store(&mut self, addr: VirtAddr) {
         self.cores[self.active].snoop_store(addr);
         if self.shared.snoop {
@@ -2463,7 +2131,7 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynlink_isa::{AluOp, Cond, HostFnId};
+    use dynlink_isa::{AluOp, Cond, HostFnId, Operand};
 
     const TEXT: u64 = 0x40_0000;
     const PLT: u64 = 0x41_0000;
@@ -2902,16 +2570,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated path must keep working
-    fn external_store_notification_flushes() {
+    fn broadcast_store_notification_flushes() {
         let (mut m, _c) = run_library_calls(MachineConfig::enhanced(), 10);
         assert!(m.abtb_len() > 0);
-        // A store from "another core" to the watched GOT slot.
-        m.external_store(VirtAddr::new(GOT + 16));
+        // A software store to the watched GOT slot.
+        m.broadcast_store(VirtAddr::new(GOT + 16));
         assert_eq!(m.abtb_len(), 0);
         // An unrelated address does not flush.
         let (mut m2, _c) = run_library_calls(MachineConfig::enhanced(), 10);
-        m2.external_store(VirtAddr::new(GOT + 0x800));
+        m2.broadcast_store(VirtAddr::new(GOT + 0x800));
         assert!(m2.abtb_len() > 0);
     }
 
@@ -3270,7 +2937,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // contrasts broadcast_store with the legacy external_store
     fn broadcast_store_respects_the_bus_switch() {
         for (bus, expect_remote_flush) in [(true, true), (false, false)] {
             let mut cfg = MachineConfig::enhanced();
@@ -3284,18 +2950,6 @@ mod tests {
                 expect_remote_flush,
                 "bus={bus}"
             );
-            // external_store always reaches every core, bus or not.
-            let mut m2 = two_core_machine(cfg2(bus));
-            train_core0(&mut m2);
-            m2.set_active_core(1);
-            m2.external_store(VirtAddr::new(GOT + 16));
-            assert!(m2.counters_for(0).abtb_coherence_flushes >= 1);
-        }
-
-        fn cfg2(bus: bool) -> MachineConfig {
-            let mut cfg = MachineConfig::enhanced();
-            cfg.coherence_bus = bus;
-            cfg
         }
     }
 

@@ -1,29 +1,30 @@
-//! Superblock translation: the direct-threaded micro-op IR behind the
-//! translated-block execution engine.
+//! Superblock translation: the direct-threaded micro-op IR behind every
+//! instruction the machine executes.
 //!
-//! The interpreter (`Machine::step_one`) pays a fixed tax on every
-//! retired instruction: revalidate the predecoded page, bounds-check
-//! the slot, match on [`Inst`] (re-deriving the fall-through pc and
-//! the retire-stage pattern predicates each time), and re-check run
-//! bookkeeping that cannot change mid-straight-line-run. The
-//! superblock engine pays that tax once, at translation time: a hot
-//! straight-line region — a run of instructions ending at a control
-//! transfer, a [`Mark`](Inst::Mark), a host call or the page boundary —
-//! is scanned out of the predecoded page and compiled into a dense
-//! array of [`SbOp`] micro-ops whose operands, fall-through pcs, PLT
-//! membership and ABTB pattern roles are all pre-resolved. Execution
-//! then runs micro-ops tail-to-tail, and finished blocks chain to
-//! their successors through a per-block memo so steady-state dispatch
-//! never touches a hash table.
+//! Every instruction but a host call executes as a [`LoweredOp`]: the
+//! [`MicroOp`] its [`Inst`] lowers to, plus its fall-through pc, PLT
+//! membership and ABTB pattern role. A single step (`Machine::step_one`,
+//! which also serves observed runs, host calls and demand fault-in) is
+//! a 1-op block: it lowers the predecoded instruction on the fly, paying
+//! a fixed tax on every retired instruction — revalidate the predecoded
+//! page, bounds-check the slot, lower, and re-check run bookkeeping
+//! that cannot change mid-straight-line-run. The superblock engine pays
+//! that tax once, at translation time: a hot straight-line region — a
+//! run of instructions ending at a control transfer, a
+//! [`Mark`](Inst::Mark), a host call or the page boundary — is scanned
+//! out of the predecoded page and lowered into a dense array of
+//! [`SbOp`]s. Execution then runs micro-ops tail-to-tail, and finished
+//! blocks chain to their successors through a per-block memo so
+//! steady-state dispatch never touches a hash table.
 //!
-//! **Everything architectural is preserved.** Each micro-op performs
-//! the same fetch/data charging, counter updates, predictor/ABTB
-//! traffic, bus broadcasts and mark recording as the interpreted
-//! instruction, in the same order; faults stop the block with the pc
-//! parked on the faulting instruction exactly as `step_one` would
-//! leave it. The differential-test oracle digests are bit-identical
-//! with the engine on or off (`difftest --no-superblock` is the
-//! scriptable A/B switch).
+//! **Everything architectural is preserved.** Both paths retire each
+//! instruction through the same exec-then-retire function, so fetch
+//! and data charging, counter updates, predictor/ABTB traffic, bus
+//! broadcasts and mark recording happen identically and in the same
+//! order; faults stop the block with the pc parked on the faulting
+//! instruction. The differential-test oracle digests are bit-identical
+//! with the engine on or off (`difftest --no-superblock` runs every
+//! instruction on the 1-op path).
 //!
 //! **Invalidation discipline.** A block is tagged with the space
 //! [`uid`](dynlink_mem::AddressSpace::uid), the
@@ -52,7 +53,7 @@
 
 use std::collections::HashMap;
 
-use dynlink_isa::{AluOp, Cond, Inst, MemRef, Reg, VirtAddr};
+use dynlink_isa::{AluOp, Cond, HostFnId, Inst, MemRef, Operand, Reg, VirtAddr};
 
 /// Upper bound on micro-ops per block. Straight-line runs in linked
 /// code are short (a PLT slot is two instructions); the cap only
@@ -60,8 +61,8 @@ use dynlink_isa::{AluOp, Cond, Inst, MemRef, Reg, VirtAddr};
 /// than the cap simply continues in the successor block.
 pub(crate) const MAX_BLOCK_OPS: usize = 64;
 
-/// Retire-stage pattern role of a micro-op, precomputed at translation
-/// time so the in-block retire stage never re-derives the `Inst`
+/// Retire-stage pattern role of an instruction, computed once when its
+/// page is predecoded so the retire stage never re-derives the `Inst`
 /// predicate chain (`is_call`/`is_mem_indirect_jump`/`written_reg`…)
 /// per retired instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +80,7 @@ pub(crate) enum Role {
 }
 
 impl Role {
-    fn of(inst: &Inst) -> Role {
+    pub(crate) fn of(inst: &Inst) -> Role {
         if inst.is_call() {
             Role::Call
         } else if inst.is_mem_indirect_jump() {
@@ -100,7 +101,7 @@ impl Role {
 /// register/immediate split of ALU and compare-branch sources is
 /// flattened into distinct variants so the executor never matches on a
 /// nested [`Operand`](dynlink_isa::Operand); direct targets,
-/// fall-through pcs and PLT flags ride in the enclosing [`SbOp`].
+/// fall-through pcs and PLT flags ride in the enclosing [`LoweredOp`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroOp {
     /// `dst = dst <op> src` (register source).
@@ -158,46 +159,75 @@ pub(crate) enum MicroOp {
     Mark { id: u64 },
 }
 
-/// A register-only instruction fused onto the front of the following
-/// micro-op ([`SbOp::pre`]): it cannot fault, touch the memory system
-/// or transfer control, so executing it inside the same dispatch as
-/// its successor is architecturally invisible — the executor still
-/// retires it as its own instruction (fetch charge, base cycles,
-/// counters, pattern training).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PreOp {
-    /// The register-only operation (one of the [`SbOp::fold_safe`]
-    /// variants).
-    pub(crate) op: MicroOp,
-    /// Its pc (fetch charging; always on the same I-cache line and
-    /// I-TLB page as the main op's pc — the fusion precondition).
-    pub(crate) pc: VirtAddr,
-    /// PLT membership of `pc` at translation time.
-    pub(crate) in_plt: bool,
-    /// Retire-pattern role — [`Role::ScratchOnly`] or [`Role::Other`]
-    /// by construction (register-only ops are never calls or
-    /// memory-indirect jumps).
-    pub(crate) role: Role,
+impl MicroOp {
+    /// Whether this op is register-only, so executing it can neither
+    /// fault nor touch memory-system state — the property that bounds
+    /// fetch runs and fusion. Anything that reads or writes memory
+    /// (including implicit stack traffic) is not.
+    fn fold_safe(&self) -> bool {
+        matches!(
+            self,
+            MicroOp::AluRR { .. }
+                | MicroOp::AluRI { .. }
+                | MicroOp::MovImm { .. }
+                | MicroOp::MovReg { .. }
+                | MicroOp::Lea { .. }
+                | MicroOp::Nop
+        )
+    }
+
+    /// Whether this op ends a block: every control transfer, `Halt`,
+    /// and `Mark`.
+    pub(crate) fn is_terminal(&self) -> bool {
+        matches!(
+            self,
+            MicroOp::CallDirect { .. }
+                | MicroOp::CallIndirectReg { .. }
+                | MicroOp::CallIndirectMem { .. }
+                | MicroOp::JmpDirect { .. }
+                | MicroOp::JmpIndirectMem { .. }
+                | MicroOp::JmpIndirectReg { .. }
+                | MicroOp::BranchRR { .. }
+                | MicroOp::BranchRI { .. }
+                | MicroOp::Ret
+                | MicroOp::Halt
+                | MicroOp::Mark { .. }
+        )
+    }
 }
 
-/// One translated micro-op: the operation plus everything the retire
-/// stage would otherwise recompute per execution.
+/// One instruction lowered for execution: the micro-op plus everything
+/// the retire stage would otherwise recompute per execution. Blocks
+/// hold these; a single step lowers one on the fly and retires it
+/// through the same executor.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SbOp {
-    /// Fused register-only predecessor, executed (and retired) just
-    /// before `op` in the same dispatch.
-    pub(crate) pre: Option<PreOp>,
+pub(crate) struct LoweredOp {
     /// The pre-resolved operation.
     pub(crate) op: MicroOp,
     /// This instruction's pc (fetch charging, fault reporting).
     pub(crate) pc: VirtAddr,
     /// Fall-through pc (`pc + encoded_len`), precomputed.
     pub(crate) fall: VirtAddr,
-    /// PLT membership of `pc` at translation time (guarded by the
-    /// block's PLT-epoch tag).
+    /// PLT membership of `pc` at predecode time (guarded by the PLT
+    /// epoch tag of the page or block it came from).
     pub(crate) in_plt: bool,
-    /// Retire-pattern role, precomputed.
+    /// Retire-pattern role, computed at predecode.
     pub(crate) role: Role,
+}
+
+/// One block entry: a main instruction, optionally with a fused
+/// register-only predecessor, plus its fetch-run window.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SbOp {
+    /// Fused register-only predecessor: it cannot fault, touch the
+    /// memory system or transfer control, so executing it in the same
+    /// dispatch as `main` is architecturally invisible — it still
+    /// retires as its own instruction (fetch charge, base cycles,
+    /// counters, pattern training). Its pc shares the main op's I-cache
+    /// line and I-TLB page (the fusion precondition).
+    pub(crate) pre: Option<LoweredOp>,
+    /// The main instruction.
+    pub(crate) main: LoweredOp,
     /// Fetch-run window, in *ops*: on a window head, the number of
     /// consecutive ops (≥ 1) whose instruction fetches are all charged
     /// at the head; 1 elsewhere. Within a window every instruction
@@ -211,28 +241,12 @@ pub(crate) struct SbOp {
 }
 
 impl SbOp {
-    /// Whether executing this op's main operation can fault or touch
-    /// memory-system state — the property that bounds fetch runs and
-    /// fusion: register-only ops qualify; anything that reads or
-    /// writes memory (including implicit stack traffic) does not.
-    fn fold_safe(&self) -> bool {
-        matches!(
-            self.op,
-            MicroOp::AluRR { .. }
-                | MicroOp::AluRI { .. }
-                | MicroOp::MovImm { .. }
-                | MicroOp::MovReg { .. }
-                | MicroOp::Lea { .. }
-                | MicroOp::Nop
-        )
-    }
-
     /// pc of the first instruction this op retires (the fused pre-op's
     /// if present).
     pub(crate) fn first_pc(&self) -> VirtAddr {
         match &self.pre {
             Some(p) => p.pc,
-            None => self.pc,
+            None => self.main.pc,
         }
     }
 
@@ -243,41 +257,41 @@ impl SbOp {
     }
 }
 
-/// Fuses each register-only op onto its successor when both pcs share
-/// an I-cache line and I-TLB page (so the pair's fetch charges can be
+/// Builds a block's ops from its lowered instructions, fusing each
+/// register-only instruction onto its successor when both pcs share an
+/// I-cache line and I-TLB page (so the pair's fetch charges can be
 /// folded at one address) — one dispatch then retires both
 /// instructions. Pairs greedily, left to right.
-pub(crate) fn fuse_ops(ops: Vec<SbOp>, line_bytes: u64, page_bytes: u64) -> Vec<SbOp> {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut it = ops.into_iter().peekable();
+pub(crate) fn fuse_ops(insts: Vec<LoweredOp>, line_bytes: u64, page_bytes: u64) -> Vec<SbOp> {
+    let mut out = Vec::with_capacity(insts.len());
+    let mut it = insts.into_iter().peekable();
     while let Some(op) = it.next() {
-        let fusable = op.fold_safe()
+        let fusable = op.op.fold_safe()
             && it.peek().is_some_and(|next| {
                 next.pc.cache_line(line_bytes) == op.pc.cache_line(line_bytes)
                     && next.pc.page_number(page_bytes) == op.pc.page_number(page_bytes)
             });
-        if fusable {
-            let mut main = it.next().expect("peeked successor");
-            main.pre = Some(PreOp {
-                op: op.op,
-                pc: op.pc,
-                in_plt: op.in_plt,
-                role: op.role,
-            });
-            out.push(main);
+        let (pre, main) = if fusable {
+            (Some(op), it.next().expect("peeked successor"))
         } else {
-            out.push(op);
-        }
+            (None, op)
+        };
+        out.push(SbOp {
+            pre,
+            main,
+            fetch_run: 1,
+            fetch_insts: 1,
+        });
     }
     out
 }
 
 /// Computes [`SbOp::fetch_run`]/[`SbOp::fetch_insts`] for a freshly
-/// translated (and fused) block: greedily extends each window while
-/// the previous op's main operation is register-only
-/// ([`SbOp::fold_safe`]) and the next op stays on the head's I-cache
-/// line and I-TLB page. (A fused op's two pcs share a line by
-/// construction, so checking `pc` covers both.)
+/// fused block: greedily extends each window while the previous op's
+/// main operation is register-only ([`MicroOp::fold_safe`]) and the
+/// next op stays on the head's I-cache line and I-TLB page. (A fused
+/// op's two pcs share a line by construction, so checking the main pc
+/// covers both.)
 pub(crate) fn assign_fetch_runs(ops: &mut [SbOp], line_bytes: u64, page_bytes: u64) {
     let mut i = 0;
     while i < ops.len() {
@@ -285,9 +299,9 @@ pub(crate) fn assign_fetch_runs(ops: &mut [SbOp], line_bytes: u64, page_bytes: u
         let head_page = ops[i].first_pc().page_number(page_bytes);
         let mut k = 1usize;
         while i + k < ops.len()
-            && ops[i + k - 1].fold_safe()
-            && ops[i + k].pc.cache_line(line_bytes) == head_line
-            && ops[i + k].pc.page_number(page_bytes) == head_page
+            && ops[i + k - 1].main.op.fold_safe()
+            && ops[i + k].main.pc.cache_line(line_bytes) == head_line
+            && ops[i + k].main.pc.page_number(page_bytes) == head_page
         {
             k += 1;
         }
@@ -300,12 +314,16 @@ pub(crate) fn assign_fetch_runs(ops: &mut [SbOp], line_bytes: u64, page_bytes: u
     }
 }
 
-/// Classifies `inst` for translation: `Ok((op, terminal))` for a
-/// translatable instruction, `Err(())` for a host call, which never
-/// enters a block (it needs the interpreter's split-borrow callback
-/// path and its serializing semantics).
-fn lower(inst: Inst) -> Result<(MicroOp, bool), ()> {
-    use dynlink_isa::Operand;
+/// Lowers the instruction at `pc` with the PLT flag and retire role it
+/// was predecoded with. `Err` carries the id of a host call, the one
+/// instruction that never lowers: it runs a callback from the
+/// machine's table against every core, which no micro-op reaches.
+pub(crate) fn lower(
+    inst: Inst,
+    pc: VirtAddr,
+    in_plt: bool,
+    role: Role,
+) -> Result<LoweredOp, HostFnId> {
     let op = match inst {
         Inst::Alu { op, dst, src } => match src {
             Operand::Reg(src) => MicroOp::AluRR { op, dst, src },
@@ -347,43 +365,15 @@ fn lower(inst: Inst) -> Result<(MicroOp, bool), ()> {
         Inst::Ret => MicroOp::Ret,
         Inst::Halt => MicroOp::Halt,
         Inst::Mark { id } => MicroOp::Mark { id },
-        Inst::HostCall { .. } => return Err(()),
+        Inst::HostCall { id } => return Err(id),
     };
-    let terminal = matches!(
+    Ok(LoweredOp {
         op,
-        MicroOp::CallDirect { .. }
-            | MicroOp::CallIndirectReg { .. }
-            | MicroOp::CallIndirectMem { .. }
-            | MicroOp::JmpDirect { .. }
-            | MicroOp::JmpIndirectMem { .. }
-            | MicroOp::JmpIndirectReg { .. }
-            | MicroOp::BranchRR { .. }
-            | MicroOp::BranchRI { .. }
-            | MicroOp::Ret
-            | MicroOp::Halt
-            | MicroOp::Mark { .. }
-    );
-    Ok((op, terminal))
-}
-
-/// Translates one fetched instruction into a block op. Returns the op
-/// and whether it terminates the block; `None` for instructions that
-/// never enter blocks (host calls).
-pub(crate) fn translate_op(inst: Inst, pc: VirtAddr, in_plt: bool) -> Option<(SbOp, bool)> {
-    let (op, terminal) = lower(inst).ok()?;
-    Some((
-        SbOp {
-            pre: None,
-            op,
-            pc,
-            fall: pc + inst.encoded_len(),
-            in_plt,
-            role: Role::of(&inst),
-            fetch_run: 1,
-            fetch_insts: 1,
-        },
-        terminal,
-    ))
+        pc,
+        fall: pc + inst.encoded_len(),
+        in_plt,
+        role,
+    })
 }
 
 /// A translated superblock: a non-empty straight-line run of micro-ops
@@ -528,37 +518,51 @@ impl SbCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynlink_isa::Operand;
+
+    fn lowered(inst: Inst) -> LoweredOp {
+        lower(inst, VirtAddr::new(0x1000), false, Role::of(&inst)).unwrap()
+    }
 
     #[test]
     fn lowering_flattens_operands_and_flags_terminals() {
-        let (op, term) = lower(Inst::add_imm(Reg::R0, 5)).unwrap();
+        let op = lowered(Inst::add_imm(Reg::R0, 5)).op;
         assert!(matches!(op, MicroOp::AluRI { imm: 5, .. }));
-        assert!(!term);
-        let (op, term) = lower(Inst::add_reg(Reg::R0, Reg::R1)).unwrap();
+        assert!(!op.is_terminal());
+        let op = lowered(Inst::add_reg(Reg::R0, Reg::R1)).op;
         assert!(matches!(op, MicroOp::AluRR { src: Reg::R1, .. }));
-        assert!(!term);
-        let (_, term) = lower(Inst::Ret).unwrap();
-        assert!(term);
-        let (_, term) = lower(Inst::Mark { id: 3 }).unwrap();
-        assert!(term, "marks terminate blocks so run bounds stay exact");
-        let (op, term) = lower(Inst::BranchCond {
+        assert!(!op.is_terminal());
+        assert!(lowered(Inst::Ret).op.is_terminal());
+        assert!(
+            lowered(Inst::Mark { id: 3 }).op.is_terminal(),
+            "marks terminate blocks so run bounds stay exact"
+        );
+        let op = lowered(Inst::BranchCond {
             cond: Cond::Ne,
             lhs: Reg::R1,
             rhs: Operand::Imm(9),
             target: VirtAddr::new(0x40),
         })
-        .unwrap();
+        .op;
         assert!(matches!(op, MicroOp::BranchRI { imm: 9, .. }));
-        assert!(term);
-        assert!(lower(Inst::HostCall {
-            id: dynlink_isa::HostFnId(0)
-        })
-        .is_err());
+        assert!(op.is_terminal());
     }
 
     #[test]
-    fn roles_match_the_interpreter_predicates() {
+    fn lowering_precomputes_fall_through_and_rejects_host_calls() {
+        let pc = VirtAddr::new(0x1000);
+        let inst = Inst::mov_imm(Reg::R0, 1);
+        let op = lower(inst, pc, true, Role::Other).unwrap();
+        assert_eq!(op.fall, pc + 7);
+        assert!(op.in_plt);
+        let id = dynlink_isa::HostFnId(1);
+        assert_eq!(
+            lower(Inst::HostCall { id }, pc, false, Role::Other).unwrap_err(),
+            id
+        );
+    }
+
+    #[test]
+    fn roles_match_the_inst_predicates() {
         assert_eq!(
             Role::of(&Inst::CallDirect {
                 target: VirtAddr::new(0x10)
@@ -581,22 +585,6 @@ mod tests {
             "a load is never scratch-only even when it writes SCRATCH"
         );
         assert_eq!(Role::of(&Inst::mov_imm(Reg::R0, 1)), Role::Other);
-    }
-
-    #[test]
-    fn translate_op_precomputes_fall_through() {
-        let pc = VirtAddr::new(0x1000);
-        let (op, _) = translate_op(Inst::mov_imm(Reg::R0, 1), pc, true).unwrap();
-        assert_eq!(op.fall, pc + 7);
-        assert!(op.in_plt);
-        assert!(translate_op(
-            Inst::HostCall {
-                id: dynlink_isa::HostFnId(1)
-            },
-            pc,
-            false
-        )
-        .is_none());
     }
 
     #[test]

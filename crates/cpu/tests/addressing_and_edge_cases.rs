@@ -1,8 +1,11 @@
 //! Focused edge-case tests for the machine: addressing modes, deep
 //! recursion past the RAS, memory-indirect calls, Bloom false-positive
-//! flushes, and counter plumbing.
+//! flushes, counter plumbing, and a retire observer that panics.
 
-use dynlink_cpu::{Machine, MachineConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+
+use dynlink_cpu::{Machine, MachineConfig, RetireEvent, RetireObserver};
 use dynlink_isa::{AluOp, Cond, Inst, MemRef, Operand, Reg, VirtAddr};
 use dynlink_mem::{AddressSpace, Perms};
 
@@ -310,4 +313,37 @@ fn jmp_indirect_reg_transfers_control() {
     let mut m = machine(s);
     m.run(100).unwrap();
     assert_eq!(m.reg(Reg::R0), 3);
+}
+
+/// An observer that panics once poisons its mutex. Later observed runs
+/// must keep delivering retires to it rather than panic on the lock.
+#[test]
+fn a_poisoned_observer_does_not_break_later_runs() {
+    #[derive(Default)]
+    struct PanicsOnce {
+        panicked: bool,
+        last_pc: Option<VirtAddr>,
+    }
+    impl RetireObserver for PanicsOnce {
+        fn on_retire(&mut self, e: &RetireEvent) {
+            if !self.panicked {
+                self.panicked = true;
+                panic!("observer fails once");
+            }
+            self.last_pc = Some(e.pc);
+        }
+    }
+    let mut s = space();
+    place(&mut s, &[Inst::Nop, Inst::Nop, Inst::Halt]);
+    let mut m = machine(s);
+    let obs = Arc::new(Mutex::new(PanicsOnce::default()));
+    m.add_observer(obs.clone());
+    assert!(catch_unwind(AssertUnwindSafe(|| m.run(100))).is_err());
+    assert!(obs.is_poisoned());
+
+    m.run(100).expect("the next observed run completes");
+    assert!(m.halted());
+    let halt_pc = VirtAddr::new(TEXT + 2 * Inst::Nop.encoded_len());
+    let last_pc = obs.lock().unwrap_or_else(|e| e.into_inner()).last_pc;
+    assert_eq!(last_pc, Some(halt_pc), "the observer saw the halt retire");
 }

@@ -158,6 +158,7 @@ impl From<VirtAddr> for u64 {
 impl Add<u64> for VirtAddr {
     type Output = VirtAddr;
 
+    #[inline]
     fn add(self, rhs: u64) -> VirtAddr {
         VirtAddr(self.0.checked_add(rhs).expect("virtual address overflow"))
     }

@@ -265,7 +265,7 @@ fn stale_prelink_restore_needs_validation() {
 /// *and* report identical digest folds. Translation is a simulator
 /// speedup, never an architectural event: if any reproducer's digest
 /// moves when the engine flips, a translated path has leaked timing or
-/// state the interpreter does not produce.
+/// state that 1-op steps do not produce.
 #[test]
 fn corpus_digests_are_engine_independent() {
     for path in corpus_files() {

@@ -7,10 +7,18 @@
 //! loops — and check that the baseline and enhanced machines compute
 //! identical results, that the enhanced machine retires exactly the
 //! baseline instruction count minus the skipped trampolines, and that
-//! it never adds branch mispredictions (§3.3). Programs come from
-//! seeded `dynlink_rng` loops, so every run is deterministic.
+//! it never adds branch mispredictions (§3.3). They also check that
+//! every way of dispatching the machine — superblock engine, 1-op
+//! steps, observed runs, budget-sliced runs — is cycle-exact. Programs
+//! come from seeded `dynlink_rng` loops, so every run is deterministic.
 
-use dynlink_core::{LinkAccel, LinkMode, MachineConfig, SystemBuilder};
+use std::sync::{Arc, Mutex};
+
+use dynlink_core::{
+    LinkAccel, LinkMode, MachineConfig, RetireEvent, RetireObserver, RunExit, SystemBuilder,
+    TrampolineFlavor,
+};
+use dynlink_cpu::{ComponentStats, CycleBreakdown};
 use dynlink_isa::{AluOp, Inst, Operand, Reg};
 use dynlink_linker::{ModuleBuilder, ModuleSpec};
 use dynlink_rng::Rng;
@@ -153,18 +161,70 @@ fn build_modules(spec: &ProgramSpec) -> Vec<ModuleSpec> {
     modules
 }
 
-fn run(spec: &ProgramSpec, accel: LinkAccel, mode: LinkMode) -> ([u64; 3], PerfCounters) {
+/// How [`run`] drives the machine.
+#[derive(Debug, Clone, Copy)]
+enum Dispatch {
+    /// One `run` call on the superblock engine (the default).
+    Engine,
+    /// One `run` call with `superblock: false`: every instruction is a
+    /// 1-op step.
+    NoSuperblock,
+    /// One `run` call with a no-op retire observer attached, which
+    /// also takes 1-op steps.
+    Observed,
+    /// The engine, driven by `run(k)` calls until the program halts.
+    Sliced(u64),
+}
+
+struct NoOpObserver;
+
+impl RetireObserver for NoOpObserver {
+    fn on_retire(&mut self, _: &RetireEvent) {}
+}
+
+const BUDGET: u64 = 5_000_000;
+
+/// Final registers, counters, cycle breakdown and structure statistics
+/// of one run.
+type Outcome = ([u64; 3], PerfCounters, CycleBreakdown, ComponentStats);
+
+fn run(
+    spec: &ProgramSpec,
+    accel: LinkAccel,
+    mode: LinkMode,
+    flavor: TrampolineFlavor,
+    dispatch: Dispatch,
+) -> Outcome {
     let mut system = SystemBuilder::new()
         .modules(build_modules(spec))
         .link_mode(mode)
         .accel(accel)
+        .trampoline_flavor(flavor)
         .machine_config(MachineConfig {
             accel,
+            superblock: !matches!(dispatch, Dispatch::NoSuperblock),
             ..MachineConfig::default()
         })
         .build()
         .expect("loads");
-    system.run(5_000_000).expect("runs to completion");
+    match dispatch {
+        Dispatch::Engine | Dispatch::NoSuperblock => {
+            system.run(BUDGET).expect("runs to completion");
+        }
+        Dispatch::Observed => {
+            system
+                .machine_mut()
+                .add_observer(Arc::new(Mutex::new(NoOpObserver)));
+            system.run(BUDGET).expect("runs to completion");
+        }
+        Dispatch::Sliced(k) => {
+            for _ in 0..BUDGET / k {
+                if system.run(k).expect("runs") == RunExit::Halted {
+                    break;
+                }
+            }
+        }
+    }
     assert!(system.machine().halted(), "program must halt");
     (
         [
@@ -173,7 +233,46 @@ fn run(spec: &ProgramSpec, accel: LinkAccel, mode: LinkMode) -> ([u64; 3], PerfC
             system.reg(Reg::R3),
         ],
         system.counters(),
+        system.machine().cycle_breakdown(),
+        system.machine().component_stats(),
     )
+}
+
+/// Shorthand for the default flavor on the engine.
+fn run_engine(spec: &ProgramSpec, accel: LinkAccel, mode: LinkMode) -> Outcome {
+    run(spec, accel, mode, TrampolineFlavor::X86, Dispatch::Engine)
+}
+
+/// Every dispatch path is cycle-exact: the engine, 1-op steps, an
+/// attached observer and budget-sliced runs agree on registers,
+/// counters, the cycle breakdown and every structure's statistics.
+#[test]
+fn dispatch_paths_are_cycle_exact() {
+    let rng = Rng::seed_from_u64(0xe9_0006);
+    for case in 0..CASES {
+        let mut rng = rng.derive(case);
+        let spec = random_program(&mut rng);
+        for accel in [LinkAccel::Off, LinkAccel::Abtb, LinkAccel::AbtbNoBloom] {
+            for flavor in [TrampolineFlavor::X86, TrampolineFlavor::Arm] {
+                let go = |d| run(&spec, accel, LinkMode::DynamicLazy, flavor, d);
+                let engine = go(Dispatch::Engine);
+                for dispatch in [
+                    Dispatch::NoSuperblock,
+                    Dispatch::Observed,
+                    Dispatch::Sliced(1),
+                    Dispatch::Sliced(2),
+                    Dispatch::Sliced(3),
+                    Dispatch::Sliced(7),
+                ] {
+                    assert_eq!(
+                        go(dispatch),
+                        engine,
+                        "case {case}, {accel:?}/{flavor:?}, {dispatch:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Architectural state is identical with and without the ABTB, and
@@ -185,8 +284,8 @@ fn abtb_is_architecturally_invisible() {
     for case in 0..CASES {
         let mut rng = rng.derive(case);
         let spec = random_program(&mut rng);
-        let (regs_base, c_base) = run(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
-        let (regs_enh, c_enh) = run(&spec, LinkAccel::Abtb, LinkMode::DynamicLazy);
+        let (regs_base, c_base, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
+        let (regs_enh, c_enh, ..) = run_engine(&spec, LinkAccel::Abtb, LinkMode::DynamicLazy);
         assert_eq!(regs_base, regs_enh);
         assert_eq!(
             c_base.instructions,
@@ -203,8 +302,8 @@ fn no_extra_mispredictions() {
     for case in 0..CASES {
         let mut rng = rng.derive(case);
         let spec = random_program(&mut rng);
-        let (_, c_base) = run(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
-        let (_, c_enh) = run(&spec, LinkAccel::Abtb, LinkMode::DynamicLazy);
+        let (_, c_base, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
+        let (_, c_enh, ..) = run_engine(&spec, LinkAccel::Abtb, LinkMode::DynamicLazy);
         assert!(
             c_enh.branch_mispredictions <= c_base.branch_mispredictions,
             "enhanced {} > base {}",
@@ -222,9 +321,9 @@ fn link_modes_agree() {
     for case in 0..CASES {
         let mut rng = rng.derive(case);
         let spec = random_program(&mut rng);
-        let (regs_static, _) = run(&spec, LinkAccel::Off, LinkMode::Static);
-        let (regs_lazy, _) = run(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
-        let (regs_now, _) = run(&spec, LinkAccel::Off, LinkMode::DynamicNow);
+        let (regs_static, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::Static);
+        let (regs_lazy, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
+        let (regs_now, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::DynamicNow);
         assert_eq!(regs_static, regs_lazy);
         assert_eq!(regs_static, regs_now);
     }
@@ -238,8 +337,8 @@ fn no_bloom_variant_is_correct_under_contract() {
     for case in 0..CASES {
         let mut rng = rng.derive(case);
         let spec = random_program(&mut rng);
-        let (regs_base, _) = run(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
-        let (regs_nb, _) = run(&spec, LinkAccel::AbtbNoBloom, LinkMode::DynamicLazy);
+        let (regs_base, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::DynamicLazy);
+        let (regs_nb, ..) = run_engine(&spec, LinkAccel::AbtbNoBloom, LinkMode::DynamicLazy);
         assert_eq!(regs_base, regs_nb);
     }
 }
@@ -252,8 +351,8 @@ fn eager_binding_skips_without_resolver() {
     for case in 0..CASES {
         let mut rng = rng.derive(case);
         let spec = random_program(&mut rng);
-        let (regs_base, _) = run(&spec, LinkAccel::Off, LinkMode::DynamicNow);
-        let (regs_enh, c_enh) = run(&spec, LinkAccel::Abtb, LinkMode::DynamicNow);
+        let (regs_base, ..) = run_engine(&spec, LinkAccel::Off, LinkMode::DynamicNow);
+        let (regs_enh, c_enh, ..) = run_engine(&spec, LinkAccel::Abtb, LinkMode::DynamicNow);
         assert_eq!(regs_base, regs_enh);
         assert_eq!(c_enh.resolver_invocations, 0);
         let calls = spec

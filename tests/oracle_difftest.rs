@@ -1,9 +1,10 @@
 //! End-to-end tests of the differential-testing subsystem: the §3.4
 //! software-invalidate contract, fault-injection detection, shrinking,
-//! and `--jobs` determinism of the difftest report.
+//! `--jobs` determinism of the difftest report, and the pinned contract
+//! digests.
 
 use dynlink_bench::difftest::{
-    check_case, check_multi_case, run_difftest, run_multi_difftest, Injection,
+    check_case, check_multi_case, run_difftest, run_multi_difftest, DiffReport, Injection,
 };
 use dynlink_core::{LinkAccel, LinkMode, System, SystemBuilder};
 use dynlink_isa::Reg;
@@ -342,4 +343,50 @@ fn difftest_report_is_identical_across_job_counts() {
     );
     assert_eq!(serial.digest, sharded.digest);
     assert!(serial.output.contains("0 failure(s) across 24 case(s)"));
+}
+
+/// Asserts one contract digest (see `docs/TESTING.md`, "Contract
+/// digests") with the superblock engine on and off, and no failures.
+fn assert_pinned_digest(pinned: u64, sweep: impl Fn(bool) -> DiffReport) {
+    for superblock in [true, false] {
+        let report = sweep(superblock);
+        assert_eq!(report.failures, 0, "{}", report.output);
+        assert_eq!(
+            report.digest, pinned,
+            "superblock={superblock}: digest {:#018x}",
+            report.digest
+        );
+    }
+}
+
+/// `difftest --cases 500`.
+#[test]
+fn single_difftest_digest_is_pinned() {
+    assert_pinned_digest(0x26dd_1bdb_1d9e_9317, |sb| {
+        run_difftest(0, 500, 2, Injection::None, false, false, false, sb)
+    });
+}
+
+/// `difftest --multi --cases 200`.
+#[test]
+fn multi_difftest_digest_is_pinned() {
+    assert_pinned_digest(0x1b17_063b_ebc7_172f, |sb| {
+        run_multi_difftest(0, 200, 2, Injection::None, false, 1, false, false, sb)
+    });
+}
+
+/// `difftest --demand --cases 200`.
+#[test]
+fn demand_difftest_digest_is_pinned() {
+    assert_pinned_digest(0x4814_f80e_1faa_8f44, |sb| {
+        run_difftest(0, 200, 2, Injection::None, false, true, false, sb)
+    });
+}
+
+/// `difftest --prelink --cases 200`.
+#[test]
+fn prelink_difftest_digest_is_pinned() {
+    assert_pinned_digest(0x2cd9_5a60_71a7_f4b4, |sb| {
+        run_difftest(0, 200, 2, Injection::None, false, false, true, sb)
+    });
 }
