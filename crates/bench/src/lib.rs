@@ -2,8 +2,7 @@
 //!
 //! Experiment drivers regenerating **every table and figure** of the
 //! evaluation section of *Architectural Support for Dynamic Linking*
-//! (ASPLOS 2015), plus the `repro` binary that prints them and the
-//! bench binaries that keep them measurable.
+//! (ASPLOS 2015), plus the `repro` binary that prints them.
 //!
 //! Experiment index (see `DESIGN.md` for the full mapping):
 //!
@@ -23,7 +22,7 @@
 //!
 //! All of the above are also listed in [`registry::registry`], the
 //! single dispatch table consumed by the `repro` binary (`--exp`,
-//! `--list`) and the benches. [`runner::ParallelRunner`] shards
+//! `--list`). [`runner::ParallelRunner`] shards
 //! experiment cells across `--jobs` worker threads with deterministic
 //! per-cell seeds and panic isolation.
 //!
@@ -56,7 +55,6 @@ pub mod memsave;
 pub mod registry;
 pub mod runner;
 pub mod simspeed;
-pub mod stopwatch;
 
 pub use experiments::{collect, collect_all, collect_all_jobs, Scale, WorkloadDataset};
 pub use registry::{registry, Experiment, ExperimentCtx};

@@ -54,7 +54,16 @@ pub struct MarkEvent {
     pub cycles: u64,
 }
 
-/// A retired instruction, as seen by [`RetireObserver`]s.
+/// A retired block terminal or host call, as seen by
+/// [`RetireObserver`]s.
+///
+/// One event is delivered per retired control transfer, `halt`, `mark`
+/// and host call — the instructions that end a superblock, plus the one
+/// instruction no block holds. Straight-line instructions in between
+/// retire without an event and are counted in the next event's
+/// [`retired`](RetireEvent::retired). The stream is the same on every
+/// dispatch path: superblocks, 1-op steps, `superblock: false` and
+/// budget-sliced runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetireEvent {
     /// Address of the retired instruction.
@@ -72,12 +81,21 @@ pub struct RetireEvent {
     pub skipped_trampoline: Option<VirtAddr>,
     /// Whether `pc` lies in a PLT section (trampoline instruction).
     pub in_plt: bool,
+    /// Instructions retired on this core since its previous event (or
+    /// since its counters were last reset), this one included. Summed
+    /// over a run that ends in `halt`, it is the run's retired
+    /// instruction count.
+    pub retired: u64,
 }
 
-/// Observer invoked for every retired instruction (the Pin-like tracing
-/// hook used by `dynlink-trace`).
+/// Observer invoked for every [`RetireEvent`] — every retired block
+/// terminal and host call (the Pin-like tracing hook used by
+/// `dynlink-trace`). Like a Pin trace callback, it sees each run of
+/// straight-line code once, at its exit, rather than each instruction;
+/// every control transfer ends a run, so none retires unseen. Attaching
+/// an observer does not change how the machine dispatches.
 pub trait RetireObserver {
-    /// Called after each instruction retires.
+    /// Called after each block terminal or host call retires.
     fn on_retire(&mut self, event: &RetireEvent);
 }
 

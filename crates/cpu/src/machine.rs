@@ -336,6 +336,9 @@ pub(crate) struct Core {
     last_page: usize,
     pending: Option<Pending>,
     marks: Vec<MarkEvent>,
+    /// `counters.instructions` at this core's last [`RetireEvent`]: the
+    /// next event's `retired` counts from here. Reset with the counters.
+    event_mark: u64,
 }
 
 impl Core {
@@ -361,6 +364,7 @@ impl Core {
             last_page: usize::MAX,
             pending: None,
             marks: Vec::new(),
+            event_mark: 0,
         }
     }
 
@@ -730,6 +734,40 @@ impl Core {
         shared.drain_bus(others);
         self.retire(shared, asid, op.in_plt, op.role, &exec);
         Ok(exec)
+    }
+
+    /// Delivers the [`RetireEvent`] of an instruction that just retired
+    /// on this core — a block terminal or a host call — to every
+    /// observer, with the count of instructions retired since this
+    /// core's previous event. Blocks and 1-op steps both deliver through
+    /// here, so the stream does not depend on how the machine
+    /// dispatched.
+    fn deliver(
+        &mut self,
+        observers: &[Arc<Mutex<dyn RetireObserver + Send>>],
+        pc: VirtAddr,
+        inst: Inst,
+        in_plt: bool,
+        exec: &Exec,
+    ) {
+        let event = RetireEvent {
+            pc,
+            inst,
+            next_pc: exec.next_pc,
+            loaded_slot: exec.loaded_slot,
+            skipped_trampoline: exec.skipped,
+            in_plt,
+            retired: self.counters.instructions - self.event_mark,
+        };
+        self.event_mark = self.counters.instructions;
+        for obs in observers {
+            // An observer that panicked once must not turn every later
+            // observed run into a panic: its state is the caller's to
+            // judge, so keep delivering.
+            obs.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .on_retire(&event);
+        }
     }
 
     /// Retire-stage bookkeeping for one executed instruction: counters,
@@ -1308,7 +1346,9 @@ impl Machine {
         self.host_fns.insert(id.0, f);
     }
 
-    /// Adds a retire observer (tracing hook).
+    /// Adds a retire observer (tracing hook): it gets a [`RetireEvent`]
+    /// for every retired block terminal and host call, and the machine
+    /// keeps dispatching superblocks.
     ///
     /// Observers are `Arc<Mutex<_>>` so callers can keep a handle for
     /// inspection after the run while the machine — and any thread it
@@ -1354,7 +1394,9 @@ impl Machine {
         self.shared.plt_epoch += 1;
     }
 
-    /// Executes a single instruction.
+    /// Executes a single instruction. Observers get its
+    /// [`RetireEvent`] only if it ends a block or is a host call, as in
+    /// a run.
     ///
     /// # Errors
     ///
@@ -1372,13 +1414,14 @@ impl Machine {
     }
 
     /// One instruction as a 1-op block, monomorphized over whether
-    /// retire observers are attached so the observer-free dispatch loop
-    /// pays nothing for the hook: lower the predecoded instruction and
-    /// retire it through [`Core::step_op`], exactly as a block would.
-    /// Only what no block can hold lives here: host calls (which need
-    /// the callback table and every core) and the demand fault-in
-    /// retry. Callers check `halted` (and pick `OBSERVE`) once per
-    /// dispatch batch, not per instruction.
+    /// retire observers are attached so unobserved runs pay nothing for
+    /// the hook: lower the predecoded instruction, retire it through
+    /// [`Core::step_op`] and, if it is a block terminal, deliver its
+    /// event through [`Core::deliver`], exactly as a block would. Only
+    /// what no block can hold lives here: host calls (which need the
+    /// callback table and every core, and always deliver an event) and
+    /// the demand fault-in retry. Callers check `halted` (and pick
+    /// `OBSERVE`) once per dispatch batch, not per instruction.
     fn step_one<const OBSERVE: bool>(&mut self) -> Result<(), CpuError> {
         let active = self.active;
         let asid = self.shared.space.asid();
@@ -1403,10 +1446,11 @@ impl Machine {
             Err(source) => return Err(CpuError { pc, source }),
         };
         self.cores[active].charge_issue(asid, pc, 1);
-        let exec = match lower(inst, pc, in_plt, role) {
+        let (exec, delivers) = match lower(inst, pc, in_plt, role) {
             Ok(op) => {
                 let (core, mut others) = split_active(&mut self.cores, active);
-                core.step_op(&mut self.shared, &mut others, asid, &op)?
+                let exec = core.step_op(&mut self.shared, &mut others, asid, &op)?;
+                (exec, op.op.is_terminal())
             }
             Err(id) => {
                 let core = &mut self.cores[active];
@@ -1435,26 +1479,11 @@ impl Machine {
                 let (core, mut others) = split_active(&mut self.cores, active);
                 self.shared.drain_bus(&mut others);
                 core.retire(&self.shared, asid, in_plt, role, &exec);
-                exec
+                (exec, true)
             }
         };
-        if OBSERVE {
-            let event = RetireEvent {
-                pc,
-                inst,
-                next_pc: exec.next_pc,
-                loaded_slot: exec.loaded_slot,
-                skipped_trampoline: exec.skipped,
-                in_plt,
-            };
-            for obs in &self.observers {
-                // An observer that panicked once must not turn every
-                // later observed run into a panic: its state is the
-                // caller's to judge, so keep delivering.
-                obs.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .on_retire(&event);
-            }
+        if OBSERVE && delivers {
+            self.cores[active].deliver(&self.observers, pc, inst, in_plt, &exec);
         }
         self.cores[active].pc = exec.next_pc;
         Ok(())
@@ -1465,13 +1494,14 @@ impl Machine {
     /// the monomorphization and the mark-count check is compiled out of
     /// plain runs.
     ///
-    /// Observer-free runs dispatch translated superblocks (see
-    /// `crate::superblock`): resolve the block entered at the current
-    /// pc — successor memo, then dispatch index, then translation — and
-    /// execute its micro-ops tail-to-tail. Observed runs need a
-    /// per-instruction [`RetireEvent`], so they take 1-op steps, as
-    /// does any entry that cannot start a block (a host call, a code
-    /// hole or a fetch fault). Run bookkeeping (halt, budget, mark
+    /// Observed or not, runs dispatch translated superblocks (see
+    /// `crate::superblock`) unless `cfg.superblock` is off: resolve the
+    /// block entered at the current pc — successor memo, then dispatch
+    /// index, then translation — and execute its micro-ops
+    /// tail-to-tail. Any entry that cannot start a block (a host call,
+    /// a code hole or a fetch fault) takes a 1-op step. Both deliver a
+    /// [`RetireEvent`] per block terminal or host call, so observers see
+    /// the same stream either way. Run bookkeeping (halt, budget, mark
     /// count) is checked once per block, which is exact: budget cuts
     /// stop mid-block at an op boundary, and `Mark` is a block terminal
     /// so the mark count can only change where the loop already checks
@@ -1481,7 +1511,7 @@ impl Machine {
         budget_end: u64,
         target_marks: usize,
     ) -> Result<RunExit, CpuError> {
-        let blocks = !OBSERVE && self.core().cfg.superblock;
+        let blocks = self.core().cfg.superblock;
         let mut prev: Option<u32> = None;
         loop {
             let core = &self.cores[self.active];
@@ -1510,7 +1540,8 @@ impl Machine {
                     if let Some(p) = prev.filter(|_| resets == self.sb.resets) {
                         self.sb.blocks[p as usize].succ = Some((pc, idx));
                     }
-                    prev = Some(self.sb_run_chain::<MARKS>(idx, budget_end, target_marks)?);
+                    prev =
+                        Some(self.sb_run_chain::<OBSERVE, MARKS>(idx, budget_end, target_marks)?);
                     continue;
                 }
                 prev = None;
@@ -1621,11 +1652,13 @@ impl Machine {
     /// back to the dispatcher for retranslation.
     ///
     /// Each instruction retires through [`Core::step_op`], as a 1-op
-    /// step's does, after its window's fetch and base charges. A budget
-    /// cut stops at an op boundary with the pc on the first unexecuted
-    /// op (resuming there later translates a new block mid-run); a
-    /// memory fault parks the pc on the faulting op.
-    fn sb_run_chain<const MARKS: bool>(
+    /// step's does, after its window's fetch and base charges, and with
+    /// `OBSERVE` a retired terminal delivers its event through
+    /// [`Core::deliver`]. A budget cut stops at an op boundary with the
+    /// pc on the first unexecuted op (resuming there later translates a
+    /// new block mid-run); a memory fault parks the pc on the faulting
+    /// op.
+    fn sb_run_chain<const OBSERVE: bool, const MARKS: bool>(
         &mut self,
         mut idx: u32,
         budget_end: u64,
@@ -1633,7 +1666,11 @@ impl Machine {
     ) -> Result<u32, CpuError> {
         let active = self.active;
         let Machine {
-            shared, cores, sb, ..
+            shared,
+            cores,
+            sb,
+            observers,
+            ..
         } = self;
         let asid = shared.space.asid();
         let uid = shared.space.code_uid();
@@ -1699,7 +1736,13 @@ impl Machine {
                             core.charge_icache(op.main.pc);
                         }
                         skip_first = false;
-                        next_pc = core.step_op(shared, &mut others, asid, &op.main)?.next_pc;
+                        let exec = core.step_op(shared, &mut others, asid, &op.main)?;
+                        if OBSERVE {
+                            if let Some(inst) = op.main.op.terminal_inst() {
+                                core.deliver(observers, op.main.pc, inst, op.main.in_plt, &exec);
+                            }
+                        }
+                        next_pc = exec.next_pc;
                     }
                     i += k_ops;
                 } else {
@@ -1711,6 +1754,9 @@ impl Machine {
                             core.step_op(shared, &mut others, asid, pre)?;
                         }
                         core.charge_issue(asid, op.main.pc, 1);
+                        // Only a block's last op can be a terminal, and a
+                        // truncated window never reaches it: no event.
+                        debug_assert!(!op.main.op.is_terminal());
                         next_pc = core.step_op(shared, &mut others, asid, &op.main)?.next_pc;
                     }
                     i = n;
@@ -2054,6 +2100,7 @@ impl Machine {
             core.cycle_millis = 0;
             core.breakdown_millis = [0; 7];
             core.marks.clear();
+            core.event_mark = 0;
         }
     }
 
@@ -2765,25 +2812,61 @@ mod tests {
         );
     }
 
+    /// Records every event's pc, instruction and retired count.
+    #[derive(Default)]
+    struct Collect {
+        events: Vec<(VirtAddr, Inst, u64)>,
+    }
+
+    impl RetireObserver for Collect {
+        fn on_retire(&mut self, e: &RetireEvent) {
+            self.events.push((e.pc, e.inst, e.retired));
+        }
+    }
+
     #[test]
     fn observer_sees_retired_instructions() {
-        #[derive(Default)]
-        struct Collect {
-            pcs: Vec<VirtAddr>,
-        }
-        impl RetireObserver for Collect {
-            fn on_retire(&mut self, e: &RetireEvent) {
-                self.pcs.push(e.pc);
-            }
-        }
         let mut s = space();
-        place(&mut s, &[Inst::Nop, Inst::Nop, Inst::Halt]);
+        let pcs = place(&mut s, &[Inst::Nop, Inst::Nop, Inst::Halt]);
         let mut m = machine_with(MachineConfig::baseline(), s);
         let obs = Arc::new(Mutex::new(Collect::default()));
         m.add_observer(obs.clone());
         m.run(10).unwrap();
-        assert_eq!(obs.lock().unwrap().pcs.len(), 3);
-        assert_eq!(obs.lock().unwrap().pcs[0], VirtAddr::new(TEXT));
+        // One event, at the block's terminal, carrying all three
+        // retired instructions.
+        assert_eq!(obs.lock().unwrap().events, [(pcs[2], Inst::Halt, 3)]);
+    }
+
+    #[test]
+    fn reset_counters_restarts_the_retired_count() {
+        let mut s = space();
+        let pcs = place(
+            &mut s,
+            &[
+                Inst::Nop,
+                Inst::Nop,
+                Inst::Mark { id: 1 },
+                Inst::Nop,
+                Inst::Nop,
+                Inst::Nop,
+                Inst::Halt,
+            ],
+        );
+        let mut m = machine_with(MachineConfig::baseline(), s);
+        let obs = Arc::new(Mutex::new(Collect::default()));
+        m.add_observer(obs.clone());
+        // Stop two instructions past the mark's event, then drop those
+        // two from the counters: the halt's event counts only what
+        // retired after the reset.
+        m.run(5).unwrap();
+        m.reset_counters();
+        m.run(10).unwrap();
+        assert!(m.halted());
+        assert_eq!(
+            obs.lock().unwrap().events,
+            [(pcs[2], Inst::Mark { id: 1 }, 3), (pcs[6], Inst::Halt, 2)]
+        );
+        assert_eq!(m.counters().instructions, 2);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! Every instruction but a host call executes as a [`LoweredOp`]: the
 //! [`MicroOp`] its [`Inst`] lowers to, plus its fall-through pc, PLT
 //! membership and ABTB pattern role. A single step (`Machine::step_one`,
-//! which also serves observed runs, host calls and demand fault-in) is
-//! a 1-op block: it lowers the predecoded instruction on the fly, paying
-//! a fixed tax on every retired instruction — revalidate the predecoded
-//! page, bounds-check the slot, lower, and re-check run bookkeeping
-//! that cannot change mid-straight-line-run. The superblock engine pays
-//! that tax once, at translation time: a hot straight-line region — a
-//! run of instructions ending at a control transfer, a
+//! which also serves host calls, demand fault-in and `superblock:
+//! false`) is a 1-op block: it lowers the predecoded instruction on the
+//! fly, paying a fixed tax on every retired instruction — revalidate
+//! the predecoded page, bounds-check the slot, lower, and re-check run
+//! bookkeeping that cannot change mid-straight-line-run. The superblock
+//! engine pays that tax once, at translation time: a hot straight-line
+//! region — a run of instructions ending at a control transfer, a
 //! [`Mark`](Inst::Mark), a host call or the page boundary — is scanned
 //! out of the predecoded page and lowered into a dense array of
 //! [`SbOp`]s. Execution then runs micro-ops tail-to-tail, and finished
@@ -25,6 +25,12 @@
 //! instruction. The differential-test oracle digests are bit-identical
 //! with the engine on or off (`difftest --no-superblock` runs every
 //! instruction on the 1-op path).
+//!
+//! **Observed runs use blocks too.** A retire event is due at every
+//! block terminal and host call, never in between, so both paths
+//! deliver the same event stream; the event's instruction is rebuilt
+//! from the terminal micro-op ([`MicroOp::terminal_inst`]), so ops carry
+//! nothing extra for observers.
 //!
 //! **Invalidation discipline.** A block is tagged with the space
 //! [`uid`](dynlink_mem::AddressSpace::uid), the
@@ -178,21 +184,51 @@ impl MicroOp {
 
     /// Whether this op ends a block: every control transfer, `Halt`,
     /// and `Mark`.
+    #[inline]
     pub(crate) fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            MicroOp::CallDirect { .. }
-                | MicroOp::CallIndirectReg { .. }
-                | MicroOp::CallIndirectMem { .. }
-                | MicroOp::JmpDirect { .. }
-                | MicroOp::JmpIndirectMem { .. }
-                | MicroOp::JmpIndirectReg { .. }
-                | MicroOp::BranchRR { .. }
-                | MicroOp::BranchRI { .. }
-                | MicroOp::Ret
-                | MicroOp::Halt
-                | MicroOp::Mark { .. }
-        )
+        self.terminal_inst().is_some()
+    }
+
+    /// The [`Inst`] a block terminal was lowered from — the inverse of
+    /// [`lower`] on terminals, which is all a
+    /// [`RetireEvent`](crate::RetireEvent) needs, so lowered ops never
+    /// carry their source instruction. `None` for every other op.
+    #[inline]
+    pub(crate) fn terminal_inst(&self) -> Option<Inst> {
+        Some(match *self {
+            MicroOp::CallDirect { target } => Inst::CallDirect { target },
+            MicroOp::CallIndirectReg { target } => Inst::CallIndirectReg { target },
+            MicroOp::CallIndirectMem { mem } => Inst::CallIndirectMem { mem },
+            MicroOp::JmpDirect { target } => Inst::JmpDirect { target },
+            MicroOp::JmpIndirectMem { mem } => Inst::JmpIndirectMem { mem },
+            MicroOp::JmpIndirectReg { target } => Inst::JmpIndirectReg { target },
+            MicroOp::BranchRR {
+                cond,
+                lhs,
+                rhs,
+                target,
+            } => Inst::BranchCond {
+                cond,
+                lhs,
+                rhs: Operand::Reg(rhs),
+                target,
+            },
+            MicroOp::BranchRI {
+                cond,
+                lhs,
+                imm,
+                target,
+            } => Inst::BranchCond {
+                cond,
+                lhs,
+                rhs: Operand::Imm(imm),
+                target,
+            },
+            MicroOp::Ret => Inst::Ret,
+            MicroOp::Halt => Inst::Halt,
+            MicroOp::Mark { id } => Inst::Mark { id },
+            _ => return None,
+        })
     }
 }
 
@@ -545,6 +581,59 @@ mod tests {
         .op;
         assert!(matches!(op, MicroOp::BranchRI { imm: 9, .. }));
         assert!(op.is_terminal());
+    }
+
+    #[test]
+    fn terminal_inst_inverts_lowering_on_every_terminal() {
+        let target = VirtAddr::new(0x40);
+        let mem = MemRef::Abs(VirtAddr::new(0x60));
+        let terminals = [
+            Inst::CallDirect { target },
+            Inst::CallIndirectReg { target: Reg::R1 },
+            Inst::CallIndirectMem { mem },
+            Inst::JmpDirect { target },
+            Inst::JmpIndirectMem { mem },
+            Inst::JmpIndirectReg { target: Reg::R2 },
+            Inst::BranchCond {
+                cond: Cond::Eq,
+                lhs: Reg::R1,
+                rhs: Operand::Reg(Reg::R2),
+                target,
+            },
+            Inst::BranchCond {
+                cond: Cond::Ne,
+                lhs: Reg::R1,
+                rhs: Operand::Imm(9),
+                target,
+            },
+            Inst::Ret,
+            Inst::Halt,
+            Inst::Mark { id: 3 },
+        ];
+        for inst in terminals {
+            let op = lowered(inst).op;
+            assert!(op.is_terminal(), "{inst:?}");
+            assert_eq!(op.terminal_inst(), Some(inst));
+        }
+        for inst in [
+            Inst::add_reg(Reg::R0, Reg::R1),
+            Inst::add_imm(Reg::R0, 5),
+            Inst::mov_imm(Reg::R0, 1),
+            Inst::MovReg {
+                dst: Reg::R0,
+                src: Reg::R1,
+            },
+            Inst::Lea { dst: Reg::R0, mem },
+            Inst::Load { dst: Reg::R0, mem },
+            Inst::Store { src: Reg::R0, mem },
+            Inst::Push { src: Reg::R0 },
+            Inst::Pop { dst: Reg::R0 },
+            Inst::Nop,
+        ] {
+            let op = lowered(inst).op;
+            assert!(!op.is_terminal(), "{inst:?}");
+            assert_eq!(op.terminal_inst(), None);
+        }
     }
 
     #[test]

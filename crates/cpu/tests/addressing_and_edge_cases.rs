@@ -316,7 +316,7 @@ fn jmp_indirect_reg_transfers_control() {
 }
 
 /// An observer that panics once poisons its mutex. Later observed runs
-/// must keep delivering retires to it rather than panic on the lock.
+/// must keep delivering events to it rather than panic on the lock.
 #[test]
 fn a_poisoned_observer_does_not_break_later_runs() {
     #[derive(Default)]
@@ -333,17 +333,22 @@ fn a_poisoned_observer_does_not_break_later_runs() {
             self.last_pc = Some(e.pc);
         }
     }
+    // The mark is a block terminal, so the first event — the one that
+    // panics — arrives before the halt and the next run still has
+    // events to deliver.
     let mut s = space();
-    place(&mut s, &[Inst::Nop, Inst::Nop, Inst::Halt]);
+    let mark = Inst::Mark { id: 0 };
+    place(&mut s, &[Inst::Nop, mark, Inst::Halt]);
     let mut m = machine(s);
     let obs = Arc::new(Mutex::new(PanicsOnce::default()));
     m.add_observer(obs.clone());
     assert!(catch_unwind(AssertUnwindSafe(|| m.run(100))).is_err());
     assert!(obs.is_poisoned());
+    assert!(!m.halted());
 
     m.run(100).expect("the next observed run completes");
     assert!(m.halted());
-    let halt_pc = VirtAddr::new(TEXT + 2 * Inst::Nop.encoded_len());
+    let halt_pc = VirtAddr::new(TEXT + Inst::Nop.encoded_len() + mark.encoded_len());
     let last_pc = obs.lock().unwrap_or_else(|e| e.into_inner()).last_pc;
     assert_eq!(last_pc, Some(halt_pc), "the observer saw the halt retire");
 }

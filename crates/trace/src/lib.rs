@@ -10,9 +10,11 @@
 //! * [`TrampolineTracer`] — a [`dynlink_cpu::RetireObserver`] that
 //!   records every executed trampoline (a memory-indirect jump retiring
 //!   inside a PLT range), its GOT slot and its target, plus the full
-//!   access sequence.
+//!   access sequence and the retired-instruction total.
 //! * [`TrampolineStats`] — per-trampoline execution counts, distinct
 //!   counts (paper Table 3) and the rank–frequency series (Figure 4).
+//! * [`BtbPressure`] — the distinct call sites, trampoline jumps and
+//!   other branches a run needs BTB entries for (§2.2).
 //! * [`abtb_skip_percentages`] — replays the recorded trampoline access
 //!   sequence through LRU ABTBs of varying capacity to produce the
 //!   "% trampolines skipped vs ABTB size" curve (Figure 5).
@@ -24,7 +26,14 @@
 //!   so parallel runs stay byte-identical at any job count.
 //!
 //! Traces are collected on the **baseline** machine (accelerator off),
-//! exactly as the paper traces an unmodified system with Pin.
+//! exactly as the paper traces an unmodified system with Pin. Like a
+//! pintool that instruments traces rather than single instructions, an
+//! observer receives one [`RetireEvent`] per retired block terminal
+//! (every control transfer, `halt` and `mark`) and per host call; the
+//! straight-line instructions in between arrive as the event's
+//! [`retired`](RetireEvent::retired) count. Everything these observers
+//! classify is a control transfer, so none of it falls between events,
+//! and attaching them leaves the machine on its superblock engine.
 //!
 //! ```
 //! use dynlink_trace::{lock_recovering, TrampolineTracer};
@@ -116,7 +125,8 @@ impl TrampolineTracer {
         self.details.get(&pc).copied()
     }
 
-    /// Total retired instructions observed.
+    /// Total retired instructions observed: the sum of every event's
+    /// [`RetireEvent::retired`].
     pub fn retired(&self) -> u64 {
         self.retired
     }
@@ -139,7 +149,7 @@ impl TrampolineTracer {
 
 impl RetireObserver for TrampolineTracer {
     fn on_retire(&mut self, event: &RetireEvent) {
-        self.retired += 1;
+        self.retired += event.retired;
         if event.in_plt && event.inst.is_mem_indirect_jump() {
             *self.counts.entry(event.pc).or_insert(0) += 1;
             if let Some(slot) = event.loaded_slot {
@@ -556,6 +566,7 @@ mod tests {
             loaded_slot: Some(VirtAddr::new(0x60_0000)),
             skipped_trampoline: None,
             in_plt,
+            retired: 1,
         }
     }
 
@@ -586,11 +597,13 @@ mod tests {
         for _ in 0..10 {
             t.on_retire(&fake_event(0x1000, true));
         }
-        for _ in 0..990 {
-            let mut e = fake_event(0x9000, false);
-            e.inst = Inst::Nop;
-            t.on_retire(&e);
-        }
+        // One event can carry many retired instructions: the
+        // straight-line run its terminal ended.
+        let mut e = fake_event(0x9000, false);
+        e.inst = Inst::Halt;
+        e.retired = 990;
+        t.on_retire(&e);
+        assert_eq!(t.retired(), 1000);
         assert!((t.stats().pki() - 10.0).abs() < 1e-9);
     }
 

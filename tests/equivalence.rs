@@ -9,7 +9,8 @@
 //! baseline instruction count minus the skipped trampolines, and that
 //! it never adds branch mispredictions (§3.3). They also check that
 //! every way of dispatching the machine — superblock engine, 1-op
-//! steps, observed runs, budget-sliced runs — is cycle-exact. Programs
+//! steps, observed runs, budget-sliced runs — is cycle-exact, and that
+//! a retire observer sees the same event stream on every path. Programs
 //! come from seeded `dynlink_rng` loops, so every run is deterministic.
 
 use std::sync::{Arc, Mutex};
@@ -169,17 +170,29 @@ enum Dispatch {
     /// One `run` call with `superblock: false`: every instruction is a
     /// 1-op step.
     NoSuperblock,
-    /// One `run` call with a no-op retire observer attached, which
-    /// also takes 1-op steps.
-    Observed,
     /// The engine, driven by `run(k)` calls until the program halts.
     Sliced(u64),
 }
 
-struct NoOpObserver;
+/// Every dispatch path but [`Dispatch::Engine`].
+const OTHER_PATHS: [Dispatch; 5] = [
+    Dispatch::NoSuperblock,
+    Dispatch::Sliced(1),
+    Dispatch::Sliced(2),
+    Dispatch::Sliced(3),
+    Dispatch::Sliced(7),
+];
 
-impl RetireObserver for NoOpObserver {
-    fn on_retire(&mut self, _: &RetireEvent) {}
+/// Records every retire event, every field.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<RetireEvent>,
+}
+
+impl RetireObserver for Recorder {
+    fn on_retire(&mut self, event: &RetireEvent) {
+        self.events.push(*event);
+    }
 }
 
 const BUDGET: u64 = 5_000_000;
@@ -188,13 +201,16 @@ const BUDGET: u64 = 5_000_000;
 /// of one run.
 type Outcome = ([u64; 3], PerfCounters, CycleBreakdown, ComponentStats);
 
+/// Runs `spec` to `halt`, with a [`Recorder`] attached when `observed`;
+/// returns the outcome and the recorded events (none when unobserved).
 fn run(
     spec: &ProgramSpec,
     accel: LinkAccel,
     mode: LinkMode,
     flavor: TrampolineFlavor,
     dispatch: Dispatch,
-) -> Outcome {
+    observed: bool,
+) -> (Outcome, Vec<RetireEvent>) {
     let mut system = SystemBuilder::new()
         .modules(build_modules(spec))
         .link_mode(mode)
@@ -207,14 +223,12 @@ fn run(
         })
         .build()
         .expect("loads");
+    let recorder = Arc::new(Mutex::new(Recorder::default()));
+    if observed {
+        system.machine_mut().add_observer(recorder.clone());
+    }
     match dispatch {
         Dispatch::Engine | Dispatch::NoSuperblock => {
-            system.run(BUDGET).expect("runs to completion");
-        }
-        Dispatch::Observed => {
-            system
-                .machine_mut()
-                .add_observer(Arc::new(Mutex::new(NoOpObserver)));
             system.run(BUDGET).expect("runs to completion");
         }
         Dispatch::Sliced(k) => {
@@ -226,7 +240,7 @@ fn run(
         }
     }
     assert!(system.machine().halted(), "program must halt");
-    (
+    let outcome = (
         [
             system.reg(Reg::R0),
             system.reg(Reg::R1),
@@ -235,12 +249,22 @@ fn run(
         system.counters(),
         system.machine().cycle_breakdown(),
         system.machine().component_stats(),
-    )
+    );
+    let events = std::mem::take(&mut recorder.lock().unwrap().events);
+    (outcome, events)
 }
 
-/// Shorthand for the default flavor on the engine.
+/// Shorthand for the default flavor on the unobserved engine.
 fn run_engine(spec: &ProgramSpec, accel: LinkAccel, mode: LinkMode) -> Outcome {
-    run(spec, accel, mode, TrampolineFlavor::X86, Dispatch::Engine)
+    run(
+        spec,
+        accel,
+        mode,
+        TrampolineFlavor::X86,
+        Dispatch::Engine,
+        false,
+    )
+    .0
 }
 
 /// Every dispatch path is cycle-exact: the engine, 1-op steps, an
@@ -254,21 +278,54 @@ fn dispatch_paths_are_cycle_exact() {
         let spec = random_program(&mut rng);
         for accel in [LinkAccel::Off, LinkAccel::Abtb, LinkAccel::AbtbNoBloom] {
             for flavor in [TrampolineFlavor::X86, TrampolineFlavor::Arm] {
-                let go = |d| run(&spec, accel, LinkMode::DynamicLazy, flavor, d);
-                let engine = go(Dispatch::Engine);
-                for dispatch in [
-                    Dispatch::NoSuperblock,
-                    Dispatch::Observed,
-                    Dispatch::Sliced(1),
-                    Dispatch::Sliced(2),
-                    Dispatch::Sliced(3),
-                    Dispatch::Sliced(7),
-                ] {
+                let go =
+                    |d, observed| run(&spec, accel, LinkMode::DynamicLazy, flavor, d, observed).0;
+                let engine = go(Dispatch::Engine, false);
+                let observed = go(Dispatch::Engine, true);
+                assert_eq!(
+                    observed, engine,
+                    "case {case}, {accel:?}/{flavor:?}, observed"
+                );
+                for dispatch in OTHER_PATHS {
                     assert_eq!(
-                        go(dispatch),
+                        go(dispatch, false),
                         engine,
                         "case {case}, {accel:?}/{flavor:?}, {dispatch:?}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The retire-event contract: an observer sees one event per retired
+/// block terminal or host call, and the same stream — every field — on
+/// every dispatch path. The events' `retired` counts sum to the run's
+/// instruction count, and the control transfers among them are exactly
+/// the counted branches, so no instruction and no branch goes unseen.
+#[test]
+fn retire_events_are_dispatch_independent() {
+    let rng = Rng::seed_from_u64(0xe9_0007);
+    for case in 0..CASES {
+        let mut rng = rng.derive(case);
+        let spec = random_program(&mut rng);
+        for accel in [LinkAccel::Off, LinkAccel::Abtb, LinkAccel::AbtbNoBloom] {
+            for flavor in [TrampolineFlavor::X86, TrampolineFlavor::Arm] {
+                let ctx = format!("case {case}, {accel:?}/{flavor:?}");
+                let go = |d| run(&spec, accel, LinkMode::DynamicLazy, flavor, d, true);
+                let (engine, events) = go(Dispatch::Engine);
+                let counters = engine.1;
+                let retired: u64 = events.iter().map(|e| e.retired).sum();
+                assert_eq!(retired, counters.instructions, "{ctx}");
+                let control = events.iter().filter(|e| e.inst.is_control()).count();
+                assert_eq!(control as u64, counters.branches, "{ctx}");
+                for dispatch in OTHER_PATHS {
+                    let (outcome, stream) = go(dispatch);
+                    assert!(
+                        stream == events,
+                        "{ctx}, {dispatch:?}: event streams differ"
+                    );
+                    assert_eq!(outcome, engine, "{ctx}, {dispatch:?}");
                 }
             }
         }

@@ -2,8 +2,10 @@
 //! published per-workload statistics (Tables 2 and 3) and show the
 //! qualitative behaviours the evaluation section describes.
 
-use dynlink_core::{LinkMode, MachineConfig};
-use dynlink_trace::TrampolineTracer;
+use std::sync::{Arc, Mutex};
+
+use dynlink_core::{LinkMode, MachineConfig, RetireEvent, RetireObserver};
+use dynlink_trace::{BtbPressure, TrampolineTracer};
 use dynlink_workloads::{
     apache, firefox, generate, memcached, mysql, run_workload_observed, run_workload_warm,
     WorkloadProfile,
@@ -29,6 +31,72 @@ fn traced(
     .unwrap();
     let stats = tracer.lock().unwrap().stats();
     (run, stats)
+}
+
+/// Both in-tree observers on one run.
+#[derive(Default)]
+struct Traced {
+    tramps: TrampolineTracer,
+    pressure: BtbPressure,
+}
+
+impl RetireObserver for Traced {
+    fn on_retire(&mut self, event: &RetireEvent) {
+        self.tramps.on_retire(event);
+        self.pressure.on_retire(event);
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `word`.
+fn fnv(mut hash: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The traced datasets behind Tables 2-3, Figures 4-5 and `repro --exp
+/// btb`, pinned: each profile's tracer outputs (distinct, total and
+/// retired counts, the rank-frequency series, the access sequence) and
+/// its three BTB-pressure counts, folded into one FNV value. The
+/// calibration tests above check bands; this pins the exact datasets,
+/// so moving this value is a model change, never a dispatch change.
+#[test]
+fn traced_datasets_are_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for (profile, requests) in [
+        (apache(), 24),
+        (firefox(), 16),
+        (memcached(), 40),
+        (mysql(), 16),
+    ] {
+        let workload = generate(&profile, requests, 5);
+        let obs = Arc::new(Mutex::new(Traced::default()));
+        run_workload_observed(
+            &workload,
+            MachineConfig::baseline(),
+            LinkMode::DynamicLazy,
+            0,
+            Some(obs.clone()),
+        )
+        .unwrap();
+        let obs = obs.lock().unwrap();
+        let stats = obs.tramps.stats();
+        let words = [stats.distinct() as u64, stats.total(), obs.tramps.retired()]
+            .into_iter()
+            .chain(stats.rank_frequency())
+            .chain(obs.tramps.sequence().iter().map(|pc| pc.as_u64()))
+            .chain([
+                obs.pressure.call_sites() as u64,
+                obs.pressure.trampoline_entries() as u64,
+                obs.pressure.other_branches() as u64,
+            ]);
+        hash = words.fold(hash, fnv);
+    }
+    assert_eq!(
+        hash, 0xe1a6_eda2_1d60_207b,
+        "traced datasets moved: {hash:#018x}"
+    );
 }
 
 #[test]
