@@ -44,6 +44,7 @@
 use dynlink_core::{
     LinkAccel, MachineConfig, MultiProcessSystem, System, SystemBuilder, TenantClass,
 };
+use dynlink_cpu::{ComponentStats, CycleBreakdown, Machine};
 use dynlink_linker::{LinkOptions, ResolutionSnapshot, RestoreOutcome, TrampolineFlavor};
 use dynlink_oracle::{ArchDigest, MultiOracle, Oracle};
 use dynlink_uarch::PerfCounters;
@@ -109,6 +110,124 @@ pub(crate) fn fold_str(mut hash: u64, s: &str) -> u64 {
     hash
 }
 
+/// FNV fold of every timing value a finished system run reports: the
+/// machine-wide counters, each core's counters, and the active core's
+/// cycle breakdown and component statistics. It only reads what the
+/// run already produced, so pinning it costs no simulation.
+fn timing_of(machine: &Machine) -> u64 {
+    let mut hash = fold_counters(FNV_OFFSET, &machine.counters());
+    for core in 0..machine.core_count() {
+        hash = fold_counters(hash, &machine.counters_for(core));
+    }
+    let CycleBreakdown {
+        base,
+        icache,
+        dcache,
+        itlb,
+        dtlb,
+        mispredict,
+        host_call,
+    } = machine.cycle_breakdown();
+    hash = [base, icache, dcache, itlb, dtlb, mispredict, host_call]
+        .into_iter()
+        .fold(hash, fold64);
+    let ComponentStats {
+        icache_accesses,
+        icache_misses,
+        dcache_accesses,
+        dcache_misses,
+        l2_accesses,
+        l2_misses,
+        itlb_accesses,
+        itlb_misses,
+        dtlb_accesses,
+        dtlb_misses,
+        btb_lookups,
+        btb_hits,
+        abtb_occupancy,
+        abtb_capacity,
+        abtb_evictions,
+        bloom_fill_ratio,
+    } = machine.component_stats();
+    [
+        icache_accesses,
+        icache_misses,
+        dcache_accesses,
+        dcache_misses,
+        l2_accesses,
+        l2_misses,
+        itlb_accesses,
+        itlb_misses,
+        dtlb_accesses,
+        dtlb_misses,
+        btb_lookups,
+        btb_hits,
+        abtb_occupancy as u64,
+        abtb_capacity as u64,
+        abtb_evictions,
+        bloom_fill_ratio.to_bits(),
+    ]
+    .into_iter()
+    .fold(hash, fold64)
+}
+
+/// Folds every [`PerfCounters`] field; the exhaustive destructure makes
+/// a new counter a compile error here until it is folded too.
+fn fold_counters(hash: u64, c: &PerfCounters) -> u64 {
+    let PerfCounters {
+        instructions,
+        cycles,
+        icache_misses,
+        dcache_misses,
+        itlb_misses,
+        dtlb_misses,
+        branches,
+        branch_mispredictions,
+        loads,
+        stores,
+        trampoline_instructions,
+        trampolines_skipped,
+        abtb_hits,
+        abtb_flushes,
+        abtb_switch_flushes,
+        abtb_coherence_flushes,
+        abtb_inserts,
+        bloom_store_hits,
+        btb_function_trains,
+        resolver_invocations,
+        demand_faults_in,
+        demand_faults_out,
+        modules_gcd,
+    } = *c;
+    [
+        instructions,
+        cycles,
+        icache_misses,
+        dcache_misses,
+        itlb_misses,
+        dtlb_misses,
+        branches,
+        branch_mispredictions,
+        loads,
+        stores,
+        trampoline_instructions,
+        trampolines_skipped,
+        abtb_hits,
+        abtb_flushes,
+        abtb_switch_flushes,
+        abtb_coherence_flushes,
+        abtb_inserts,
+        bloom_store_hits,
+        btb_function_trains,
+        resolver_invocations,
+        demand_faults_in,
+        demand_faults_out,
+        modules_gcd,
+    ]
+    .into_iter()
+    .fold(hash, fold64)
+}
+
 /// Fault-injection mode for the system side of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Injection {
@@ -139,6 +258,8 @@ struct OracleRun {
 struct SystemRun {
     digest: ArchDigest,
     counters: PerfCounters,
+    /// [`timing_of`] the finished run.
+    timing: u64,
     /// One entry per applied schedule event: its kind and the counter
     /// window around it (cumulative counters at the event, delta from
     /// the event to the end of the run) — the coverage map's event
@@ -416,6 +537,7 @@ fn run_system(
         digest,
         events: close_windows(snaps, &counters),
         counters,
+        timing: timing_of(sys.machine()),
         prelink,
     })
 }
@@ -511,6 +633,11 @@ pub struct CaseReport {
     /// FNV fold of the oracle digests (both flavors) — the value that
     /// must be byte-identical at every `--jobs` level.
     pub digest_fold: u64,
+    /// FNV fold of every system run's timing values (counters, per-core
+    /// counters, cycle breakdown, component statistics), prelink runs
+    /// included: pins the timing model the way `digest_fold` pins the
+    /// architecture.
+    pub timing_fold: u64,
     /// Human-readable failure descriptions; empty means the case passed.
     pub failures: Vec<String>,
 }
@@ -617,6 +744,7 @@ fn check_case_coverage_full(
 ) -> (CaseReport, CoverageMap) {
     let mut failures = Vec::new();
     let mut digest_fold = FNV_OFFSET;
+    let mut timing_fold = FNV_OFFSET;
     let mut coverage = CoverageMap::new();
     for &flavor in &FLAVORS {
         let oracle = match run_oracle(case, flavor, None) {
@@ -642,6 +770,7 @@ fn check_case_coverage_full(
             ) {
                 Err(e) => failures.push(format!("[{flavor:?}/{accel:?}] {e}")),
                 Ok(run) => {
+                    timing_fold = fold64(timing_fold, run.timing);
                     coverage.record_run(accel, PolicyCtx::SingleProcess, &run.counters);
                     for (kind, window) in &run.events {
                         coverage.record_event(accel, PolicyCtx::SingleProcess, *kind, window);
@@ -681,6 +810,7 @@ fn check_case_coverage_full(
                 superblock,
                 superblock_validate,
                 &mut coverage,
+                &mut timing_fold,
             ) {
                 Ok(msgs) => failures.extend(msgs),
                 Err(e) => failures.push(format!("[{flavor:?}/prelink] {e}")),
@@ -691,6 +821,7 @@ fn check_case_coverage_full(
         CaseReport {
             seed: case.seed,
             digest_fold,
+            timing_fold,
             failures,
         },
         coverage,
@@ -712,6 +843,7 @@ fn prelink_arm(
     superblock: bool,
     superblock_validate: bool,
     coverage: &mut CoverageMap,
+    timing_fold: &mut u64,
 ) -> Result<Vec<String>, String> {
     let bytes = warm_snapshot_bytes(case, flavor)?;
     let snapshot =
@@ -733,6 +865,7 @@ fn prelink_arm(
         ) {
             Err(e) => failures.push(format!("[{flavor:?}/{accel:?}/prelink] {e}")),
             Ok(run) => {
+                *timing_fold = fold64(*timing_fold, run.timing);
                 for outcome in &run.prelink {
                     coverage.record_prelink(accel, PolicyCtx::SingleProcess, outcome);
                 }
@@ -773,6 +906,8 @@ pub struct DiffReport {
     pub cases: u64,
     /// FNV fold of every case's digest fold.
     pub digest: u64,
+    /// FNV fold of every case's [`CaseReport::timing_fold`].
+    pub timing: u64,
     /// Behavioral-coverage count: distinct [`CoverageMap`] keys the
     /// whole sweep exercised (merged in submission order).
     pub coverage: usize,
@@ -846,6 +981,7 @@ pub fn run_difftest(
         }
     );
     let mut digest = FNV_OFFSET;
+    let mut timing = FNV_OFFSET;
     let mut coverage = CoverageMap::new();
     let mut failures = 0usize;
     let mut first_failing: Option<u64> = None;
@@ -853,6 +989,7 @@ pub fn run_difftest(
         match cell.outcome {
             CellOutcome::Done((r, map)) => {
                 digest = fold64(digest, r.digest_fold);
+                timing = fold64(timing, r.timing_fold);
                 coverage.merge(&map);
                 if !r.failures.is_empty() && first_failing.is_none() {
                     first_failing = Some(r.seed);
@@ -886,7 +1023,7 @@ pub fn run_difftest(
         ));
     }
     output.push_str(&format!(
-        "difftest: {failures} failure(s) across {cases} case(s); coverage {} key(s); state digest {digest:#018x}\n",
+        "difftest: {failures} failure(s) across {cases} case(s); coverage {} key(s); state digest {digest:#018x}; timing digest {timing:#018x}\n",
         coverage.count()
     ));
     DiffReport {
@@ -894,6 +1031,7 @@ pub fn run_difftest(
         failures,
         cases,
         digest,
+        timing,
         coverage: coverage.count(),
     }
 }
@@ -914,6 +1052,8 @@ struct MultiSystemRun {
     /// a 1-core machine, so the per-core invariants degenerate to the
     /// aggregate ones there.
     per_core: Vec<PerfCounters>,
+    /// [`timing_of`] the finished run.
+    timing: u64,
     /// Displacements: switches that landed a process on a core which
     /// last ran a different process (equal to plain switches on 1 core).
     thread_switches: u64,
@@ -1281,6 +1421,7 @@ fn replay_multi_schedule(
         events: close_windows(snaps, &counters),
         counters,
         per_core,
+        timing: timing_of(mps.machine()),
         thread_switches: mps.thread_switches(),
         thread_switches_per_core,
         prelink,
@@ -1542,6 +1683,7 @@ fn check_multi_case_coverage_full(
 ) -> (CaseReport, CoverageMap) {
     let mut failures = Vec::new();
     let mut digest_fold = FNV_OFFSET;
+    let mut timing_fold = FNV_OFFSET;
     let mut coverage = CoverageMap::new();
     for &flavor in &FLAVORS {
         let oracle = match run_multi_oracle(case, flavor, None) {
@@ -1565,6 +1707,7 @@ fn check_multi_case_coverage_full(
             None,
             &oracle,
             &mut coverage,
+            &mut timing_fold,
             &mut failures,
         );
         if prelink {
@@ -1577,6 +1720,7 @@ fn check_multi_case_coverage_full(
                 prelink_validate,
                 superblock,
                 &mut coverage,
+                &mut timing_fold,
                 &mut failures,
             ) {
                 Ok(()) => {}
@@ -1588,6 +1732,7 @@ fn check_multi_case_coverage_full(
         CaseReport {
             seed: case.seed,
             digest_fold,
+            timing_fold,
             failures,
         },
         coverage,
@@ -1609,6 +1754,7 @@ fn multi_matrix(
     boot: Option<&[ResolutionSnapshot]>,
     oracle: &MultiOracleRun,
     coverage: &mut CoverageMap,
+    timing_fold: &mut u64,
     failures: &mut Vec<String>,
 ) {
     let suffix = if boot.is_some() { "/prelink" } else { "" };
@@ -1631,6 +1777,7 @@ fn multi_matrix(
                     failures.push(format!("[{flavor:?}/{accel:?}/{policy:?}{suffix}] {e}"));
                 }
                 Ok(run) => {
+                    *timing_fold = fold64(*timing_fold, run.timing);
                     // The prelink round only records its restore
                     // outcomes: run/event coverage would double-count
                     // the lazy matrix's keys.
@@ -1686,6 +1833,7 @@ fn multi_prelink_arm(
     prelink_validate: bool,
     superblock: bool,
     coverage: &mut CoverageMap,
+    timing_fold: &mut u64,
     failures: &mut Vec<String>,
 ) -> Result<(), String> {
     let all_bytes = warm_multi_snapshot_bytes(case, flavor)?;
@@ -1709,6 +1857,7 @@ fn multi_prelink_arm(
         Some(&snapshots),
         &oracle,
         coverage,
+        timing_fold,
         failures,
     );
     Ok(())
@@ -1785,6 +1934,7 @@ pub fn run_multi_difftest(
         }
     );
     let mut digest = FNV_OFFSET;
+    let mut timing = FNV_OFFSET;
     let mut coverage = CoverageMap::new();
     let mut failures = 0usize;
     let mut first_failing: Option<u64> = None;
@@ -1792,6 +1942,7 @@ pub fn run_multi_difftest(
         match cell.outcome {
             CellOutcome::Done((r, map)) => {
                 digest = fold64(digest, r.digest_fold);
+                timing = fold64(timing, r.timing_fold);
                 coverage.merge(&map);
                 if !r.failures.is_empty() && first_failing.is_none() {
                     first_failing = Some(r.seed);
@@ -1833,7 +1984,7 @@ pub fn run_multi_difftest(
         ));
     }
     output.push_str(&format!(
-        "multi difftest: {failures} failure(s) across {cases} case(s); coverage {} key(s); state digest {digest:#018x}\n",
+        "multi difftest: {failures} failure(s) across {cases} case(s); coverage {} key(s); state digest {digest:#018x}; timing digest {timing:#018x}\n",
         coverage.count()
     ));
     DiffReport {
@@ -1841,6 +1992,7 @@ pub fn run_multi_difftest(
         failures,
         cases,
         digest,
+        timing,
         coverage: coverage.count(),
     }
 }
@@ -1860,6 +2012,7 @@ pub fn run_multi_difftest(
 pub fn check_fleet_smoke_case(case: &MultiFuzzCase) -> CaseReport {
     let mut failures = Vec::new();
     let mut digest_fold = FNV_OFFSET;
+    let mut timing_fold = FNV_OFFSET;
     for &flavor in &FLAVORS {
         let oracle = match run_multi_oracle(case, flavor, None) {
             Ok(o) => o,
@@ -1879,6 +2032,7 @@ pub fn check_fleet_smoke_case(case: &MultiFuzzCase) -> CaseReport {
                         failures.push(format!("[{flavor:?}/{accel:?}/{policy:?}/fleet] {e}"));
                     }
                     Ok(run) => {
+                        timing_fold = fold64(timing_fold, run.timing);
                         for (p, (got, want)) in
                             run.digests.iter().zip(oracle.digests.iter()).enumerate()
                         {
@@ -1910,6 +2064,7 @@ pub fn check_fleet_smoke_case(case: &MultiFuzzCase) -> CaseReport {
     CaseReport {
         seed: case.seed,
         digest_fold,
+        timing_fold,
         failures,
     }
 }
@@ -1935,11 +2090,13 @@ pub fn run_fleet_smoke(seed_start: u64, cases: u64, jobs: usize) -> DiffReport {
         seed_start + cases,
     );
     let mut digest = FNV_OFFSET;
+    let mut timing = FNV_OFFSET;
     let mut failures = 0usize;
     for cell in report.cells {
         match cell.outcome {
             CellOutcome::Done(r) => {
                 digest = fold64(digest, r.digest_fold);
+                timing = fold64(timing, r.timing_fold);
                 for f in &r.failures {
                     output.push_str(&format!("FAIL seed {}: {f}\n", r.seed));
                     failures += 1;
@@ -1952,13 +2109,14 @@ pub fn run_fleet_smoke(seed_start: u64, cases: u64, jobs: usize) -> DiffReport {
         }
     }
     output.push_str(&format!(
-        "fleet smoke: {failures} failure(s) across {cases} case(s); state digest {digest:#018x}\n"
+        "fleet smoke: {failures} failure(s) across {cases} case(s); state digest {digest:#018x}; timing digest {timing:#018x}\n"
     ));
     DiffReport {
         output,
         failures,
         cases,
         digest,
+        timing,
         coverage: 0,
     }
 }

@@ -153,6 +153,7 @@ pub fn run_guided(cfg: &GuidedConfig) -> DiffReport {
     let mut coverage = CoverageMap::new();
     let mut corpus: Vec<CorpusEntry> = Vec::new();
     let mut digest = FNV_OFFSET;
+    let mut timing = FNV_OFFSET;
     let mut failures = 0usize;
     let mut cases_total = 0u64;
     let mut first_failure: Option<FuzzCase> = None;
@@ -235,6 +236,7 @@ pub fn run_guided(cfg: &GuidedConfig) -> DiffReport {
             match cell.outcome {
                 CellOutcome::Done((r, map)) => {
                     digest = fold64(digest, r.digest_fold);
+                    timing = fold64(timing, r.timing_fold);
                     let novel = coverage.merge(&map);
                     if !r.failures.is_empty() {
                         if first_failure.is_none() {
@@ -299,7 +301,7 @@ pub fn run_guided(cfg: &GuidedConfig) -> DiffReport {
     }
 
     output.push_str(&format!(
-        "guided difftest: {failures} failure(s) across {cases_total} case(s); coverage {} key(s); corpus {} case(s); state digest {digest:#018x}\n",
+        "guided difftest: {failures} failure(s) across {cases_total} case(s); coverage {} key(s); corpus {} case(s); state digest {digest:#018x}; timing digest {timing:#018x}\n",
         coverage.count(),
         corpus.len(),
     ));
@@ -308,6 +310,7 @@ pub fn run_guided(cfg: &GuidedConfig) -> DiffReport {
         failures,
         cases: cases_total,
         digest,
+        timing,
         coverage: coverage.count(),
     }
 }

@@ -4,7 +4,8 @@
 //! digests.
 
 use dynlink_bench::difftest::{
-    check_case, check_multi_case, run_difftest, run_multi_difftest, DiffReport, Injection,
+    check_case, check_multi_case, run_difftest, run_fleet_smoke, run_multi_difftest, DiffReport,
+    Injection,
 };
 use dynlink_core::{LinkAccel, LinkMode, System, SystemBuilder};
 use dynlink_isa::Reg;
@@ -345,16 +346,24 @@ fn difftest_report_is_identical_across_job_counts() {
     assert!(serial.output.contains("0 failure(s) across 24 case(s)"));
 }
 
-/// Asserts one contract digest (see `docs/TESTING.md`, "Contract
-/// digests") with the superblock engine on and off, and no failures.
-fn assert_pinned_digest(pinned: u64, sweep: impl Fn(bool) -> DiffReport) {
+/// Asserts one contract digest and its timing pin (see
+/// `docs/TESTING.md`, "Contract digests") with the superblock engine on
+/// and off, and no failures. The timing pin folds every system run's
+/// counters, cycle breakdown and component statistics, so moving it is
+/// a timing-model change even when the architecture holds.
+fn assert_pinned(digest: u64, timing: u64, sweep: impl Fn(bool) -> DiffReport) {
     for superblock in [true, false] {
         let report = sweep(superblock);
         assert_eq!(report.failures, 0, "{}", report.output);
         assert_eq!(
-            report.digest, pinned,
+            report.digest, digest,
             "superblock={superblock}: digest {:#018x}",
             report.digest
+        );
+        assert_eq!(
+            report.timing, timing,
+            "superblock={superblock}: timing digest {:#018x}",
+            report.timing
         );
     }
 }
@@ -362,7 +371,7 @@ fn assert_pinned_digest(pinned: u64, sweep: impl Fn(bool) -> DiffReport) {
 /// `difftest --cases 500`.
 #[test]
 fn single_difftest_digest_is_pinned() {
-    assert_pinned_digest(0x26dd_1bdb_1d9e_9317, |sb| {
+    assert_pinned(0x26dd_1bdb_1d9e_9317, 0xadc4_533d_2249_0256, |sb| {
         run_difftest(0, 500, 2, Injection::None, false, false, false, sb)
     });
 }
@@ -370,15 +379,24 @@ fn single_difftest_digest_is_pinned() {
 /// `difftest --multi --cases 200`.
 #[test]
 fn multi_difftest_digest_is_pinned() {
-    assert_pinned_digest(0x1b17_063b_ebc7_172f, |sb| {
+    assert_pinned(0x1b17_063b_ebc7_172f, 0xbaa0_50ea_6cf2_7eb4, |sb| {
         run_multi_difftest(0, 200, 2, Injection::None, false, 1, false, false, sb)
+    });
+}
+
+/// `difftest --multi --cores 2 --cases 200`: the multi digest again
+/// (cores never change architecture), with its own timing pin.
+#[test]
+fn multicore_difftest_digest_is_pinned() {
+    assert_pinned(0x1b17_063b_ebc7_172f, 0x1587_642f_4302_e02f, |sb| {
+        run_multi_difftest(0, 200, 2, Injection::None, false, 2, false, false, sb)
     });
 }
 
 /// `difftest --demand --cases 200`.
 #[test]
 fn demand_difftest_digest_is_pinned() {
-    assert_pinned_digest(0x4814_f80e_1faa_8f44, |sb| {
+    assert_pinned(0x4814_f80e_1faa_8f44, 0x0fcf_a717_4d63_105d, |sb| {
         run_difftest(0, 200, 2, Injection::None, false, true, false, sb)
     });
 }
@@ -386,7 +404,25 @@ fn demand_difftest_digest_is_pinned() {
 /// `difftest --prelink --cases 200`.
 #[test]
 fn prelink_difftest_digest_is_pinned() {
-    assert_pinned_digest(0x2cd9_5a60_71a7_f4b4, |sb| {
+    assert_pinned(0x2cd9_5a60_71a7_f4b4, 0xb39e_c93e_6b39_a401, |sb| {
         run_difftest(0, 200, 2, Injection::None, false, false, true, sb)
     });
+}
+
+/// `difftest --fleet-smoke --cases 100`: the only sweep that boots
+/// through `MultiProcessSystem::new_fleet`. It has no engine-off mode.
+#[test]
+fn fleet_smoke_digest_is_pinned() {
+    let report = run_fleet_smoke(0, 100, 2);
+    assert_eq!(report.failures, 0, "{}", report.output);
+    assert_eq!(
+        report.digest, 0x4ab8_cc2a_9f1d_a0ff,
+        "digest {:#018x}",
+        report.digest
+    );
+    assert_eq!(
+        report.timing, 0x0db3_fb15_3677_bf5f,
+        "timing digest {:#018x}",
+        report.timing
+    );
 }
