@@ -3,26 +3,26 @@
 //! A fleet run wants *thousands* of processes, but nearly all of them
 //! are instances of a handful of programs. Loading each one through the
 //! full [`Loader`] pipeline would relocate, place and predecode the
-//! same text a thousand times over. [`ProcessArena`] instead loads each
-//! [`TenantClass`] **once** into a template [`AddressSpace`] and spawns
+//! same text a thousand times over. [`spawn_tenants`] instead loads
+//! each [`TenantClass`] **once** into a template [`AddressSpace`] and spawns
 //! its tenants as [`AddressSpace::fork_shared_code`] forks: copy-on-
-//! write pages, one shared [`ProcessImage`] behind an [`Arc`], and —
+//! write pages, one shared [`ProcessImage`](dynlink_linker::ProcessImage)
+//! behind an [`Arc`], and —
 //! until a tenant's code state diverges — a single fetch-side
 //! `code_uid`, so the machine's predecode and superblock caches hold
 //! one copy of the class's text no matter how many tenants run it.
 //!
-//! What stays *per tenant*: the live [`ResolutionTable`] (lazy binding
+//! What stays *per tenant*: the live
+//! [`ResolutionTable`](dynlink_linker::ResolutionTable) (lazy binding
 //! and `dlopen`/`dlclose` churn are private), the stack mapping, the
-//! ASID, and the GOT pages the moment a tenant writes one (COW).
+//! ASID, and the GOT pages the moment a tenant writes one (COW). Each
+//! tenant is added through the same [`BootParts::add`] as every other
+//! process, so a tenant boots exactly like a process loaded on its own.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use dynlink_cpu::ProcessContext;
-use dynlink_linker::{LinkMode, LinkOptions, Loader, ModuleSpec};
-use dynlink_mem::layout::STACK_TOP;
+use dynlink_linker::{LinkOptions, Loader, ModuleSpec};
 use dynlink_mem::AddressSpace;
-use dynlink_trace::{ResolutionKind, TelemetryWriter};
 
 use crate::multi::BootParts;
 use crate::SystemError;
@@ -43,75 +43,28 @@ pub struct TenantClass {
     pub tenants: usize,
 }
 
-/// Builder that turns [`TenantClass`] templates into the per-process
-/// [`BootParts`] a `MultiProcessSystem` boots from.
-pub(crate) struct ProcessArena;
-
-impl ProcessArena {
-    /// Loads each class once and forks its tenants, producing parts
-    /// index-compatible with the one-process-at-a-time constructors:
-    /// tenant `i` (global, class-major) gets ASID `i + 1` and its own
-    /// stack of `stack_bytes`.
-    pub(crate) fn build(
-        classes: &[TenantClass],
-        stack_bytes: u64,
-    ) -> Result<BootParts, SystemError> {
-        if classes.is_empty() || classes.iter().any(|c| c.tenants == 0) {
-            return Err(SystemError::NoModules);
-        }
-        let n: usize = classes.iter().map(|c| c.tenants).sum();
-        let mut contexts = Vec::with_capacity(n);
-        let mut images = Vec::with_capacity(n);
-        let mut tables = Vec::with_capacity(n);
-        let mut module_refs: HashMap<String, usize> = HashMap::new();
-        let mut demand = Vec::with_capacity(n);
-        let mut hw_levels = Vec::with_capacity(n);
-        let mut eager_telemetry = TelemetryWriter::new();
-        let mut next = 0u64;
-        for class in classes {
-            // The template space never runs; ASID 0 matches the boot
-            // placeholder and is immediately superseded by the forks.
-            let mut template = AddressSpace::new(0);
-            let image =
-                Arc::new(Loader::new(class.options).load(&class.modules, "main", &mut template)?);
-            for _ in 0..class.tenants {
-                next += 1;
-                let space = template.fork_shared_code(next);
-                let ctx = ProcessContext::new(space, image.entry(), STACK_TOP, stack_bytes)?;
-                for m in image.modules() {
-                    *module_refs.entry(m.name.clone()).or_insert(0) += 1;
-                }
-                demand.push(
-                    class.options.demand_paging && class.options.mode == LinkMode::DynamicLazy,
-                );
-                hw_levels.push(class.options.hw_level);
-                if class.options.mode == LinkMode::DynamicNow {
-                    // Load-time binds: telemetry only, never the
-                    // prelink cache (mirrors the per-process loop).
-                    for b in image.resolution().iter() {
-                        eager_telemetry.record(
-                            b.module,
-                            b.import,
-                            ResolutionKind::Eager,
-                            b.got_slot,
-                            b.target,
-                            0,
-                        );
-                    }
-                }
-                tables.push(image.resolution().clone());
-                images.push(Arc::clone(&image));
-                contexts.push(ctx);
-            }
-        }
-        Ok(BootParts {
-            contexts,
-            images,
-            tables,
-            module_refs,
-            demand,
-            hw_levels,
-            eager_telemetry,
-        })
+/// Loads each class once and forks its tenants into the same
+/// [`BootParts`] the one-process-at-a-time constructors fill: tenant
+/// `i` (global, class-major) gets ASID `i + 1` and its own stack of
+/// `stack_bytes`.
+pub(crate) fn spawn_tenants(
+    classes: &[TenantClass],
+    stack_bytes: u64,
+) -> Result<BootParts, SystemError> {
+    if classes.is_empty() || classes.iter().any(|c| c.tenants == 0) {
+        return Err(SystemError::NoModules);
     }
+    let mut parts = BootParts::default();
+    for class in classes {
+        // The template space never runs; ASID 0 matches the boot
+        // placeholder and is immediately superseded by the forks.
+        let mut template = AddressSpace::new(0);
+        let image =
+            Arc::new(Loader::new(class.options).load(&class.modules, "main", &mut template)?);
+        for _ in 0..class.tenants {
+            let space = template.fork_shared_code(parts.len() as u64 + 1);
+            parts.add(Arc::clone(&image), class.options, space, stack_bytes)?;
+        }
+    }
+    Ok(parts)
 }

@@ -1,67 +1,231 @@
-//! OS-level multiprogramming over one simulated core (paper §3.3).
+//! Processes time-sharing one simulated machine (paper §3.3).
 //!
-//! [`MultiProcessSystem`] loads several independent processes — each
-//! with its own [`AddressSpace`], [`ProcessImage`] and live resolution
-//! table — onto a single [`Machine`], switching between them with
-//! [`dynlink_cpu::Machine::swap_process`]. This is the system-under-test
-//! counterpart of `dynlink_oracle::MultiOracle`: the machine carries all
-//! the microarchitectural state (BTB, ABTB, Bloom filter, caches) across
+//! [`MultiProcessSystem`] loads one or more independent processes —
+//! each with its own [`AddressSpace`], [`ProcessImage`] and live
+//! resolution table — onto a single [`Machine`], switching between them
+//! with the machine's park/load/swap primitives. It holds one
+//! [`Process`] value per process, and the state the lazy resolver reads
+//! behind one mutex ([`Linker`]); every runtime-linker operation is
+//! written once, against the active process or process `p`.
+//! [`crate::System`] is the one-process case and wraps one.
+//!
+//! This is the system-under-test counterpart of
+//! `dynlink_oracle::MultiOracle`: the machine carries all the
+//! microarchitectural state (BTB, ABTB, Bloom filter, caches) across
 //! switches per its configured §3.3 policy, while the oracle switches
 //! trivially; any architectural divergence between the two is a bug in
 //! the accelerated machine's switch handling.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dynlink_cpu::{CpuError, Machine, MachineBuilder, MachineConfig, ProcessContext};
-use dynlink_isa::{Reg, VirtAddr};
+use dynlink_isa::{Inst, Reg, VirtAddr};
 use dynlink_linker::{
-    fingerprint, LinkMode, LinkOptions, Loader, ModuleSpec, ProcessImage, ResolutionSnapshot,
-    ResolutionTable, RestoreOutcome, SnapshotBuilder, SnapshotEntry, RESOLVER_HOST_FN,
+    apply_call_site_patches, fingerprint, LinkMode, LinkOptions, Loader, ModuleSpec, ProcessImage,
+    ResolutionSnapshot, ResolutionTable, RestoreOutcome, SnapshotBuilder, SnapshotEntry,
+    RESOLVER_HOST_FN,
 };
 use dynlink_mem::layout::STACK_TOP;
 use dynlink_mem::{AddressSpace, Perms, PAGE_BYTES};
 use dynlink_trace::{lock_recovering, ResolutionKind, ResolutionRecord, TelemetryWriter};
 use dynlink_uarch::PerfCounters;
 
-use crate::arena::ProcessArena;
-use crate::system::GcRemnant;
 use crate::SystemError;
 
-/// Default stack size for simulated processes (matches `System`).
+/// Default stack size for simulated processes.
 const STACK_BYTES: u64 = 1 << 20;
 
-/// The per-process pieces a [`MultiProcessSystem`] boots from — either
-/// loaded one process at a time ([`MultiProcessSystem::new`] family) or
-/// spawned in bulk from class templates
-/// ([`crate::arena::ProcessArena`]).
-pub(crate) struct BootParts {
-    pub(crate) contexts: Vec<ProcessContext>,
-    pub(crate) images: Vec<Arc<ProcessImage>>,
-    pub(crate) tables: Vec<ResolutionTable>,
-    pub(crate) module_refs: HashMap<String, usize>,
-    pub(crate) demand: Vec<bool>,
-    pub(crate) hw_levels: Vec<usize>,
-    pub(crate) eager_telemetry: TelemetryWriter,
+/// What module GC tore down, kept so a later reopen can rebuild the
+/// module's code at the same virtual addresses.
+struct GcRemnant {
+    /// The unmapped code extents (`(base, len)`).
+    extents: Vec<(VirtAddr, u64)>,
+    /// The instructions that lived there.
+    code: Vec<(VirtAddr, Inst)>,
 }
 
-/// The shared resolver state: which process is active, plus one live
-/// binding table per process. The single registered resolver host
-/// function dispatches on the active index — necessary because
-/// deliberately aliasing layouts give different processes *identical*
-/// stub keys.
-type SharedTables = Arc<Mutex<(usize, Vec<ResolutionTable>)>>;
+/// One loaded process: everything kept per process except what the
+/// resolver host function reads (see [`Linker`]).
+struct Process {
+    /// The process's thread and address space while it is suspended.
+    /// While it is active the machine holds both, and this slot parks
+    /// the placeholder space instead.
+    context: ProcessContext,
+    image: Arc<ProcessImage>,
+    /// The options it was loaded with (demand paging, ifunc hardware
+    /// level).
+    link: LinkOptions,
+    /// Code snapshots of `dlclose`d modules, for reopening.
+    gc_remnants: HashMap<String, GcRemnant>,
+    /// Marks retired so far. The machine's mark buffer is drained into
+    /// the active process after every run segment, so schedule targets
+    /// are relative to the process they name.
+    marks: u64,
+    /// What the boot-time prelink restore did, if there was one.
+    prelink_outcome: Option<RestoreOutcome>,
+}
+
+impl Process {
+    /// Whether code was loaded demand-paged (honoured under lazy binding
+    /// only), so a reopen re-registers extents without faulting them in.
+    fn demand_paged(&self) -> bool {
+        self.link.demand_paging && self.link.mode == LinkMode::DynamicLazy
+    }
+}
+
+/// What the resolver host function shares with the system. The single
+/// registered resolver dispatches on `active`, which is necessary
+/// because deliberately aliasing layouts give different processes
+/// *identical* stub keys.
+struct Linker {
+    active: usize,
+    /// One live binding table per process.
+    tables: Vec<ResolutionTable>,
+    /// One in-memory prelink cache per process: lazy resolutions and
+    /// rebinds are recorded, `dlclose` victims tombstoned.
+    builders: Vec<SnapshotBuilder>,
+    /// Resolution telemetry, shared across processes in event order.
+    telemetry: TelemetryWriter,
+}
+
+/// Loaded processes not yet on a machine: what a [`MultiProcessSystem`]
+/// boots from. Every constructor, [`crate::SystemBuilder`] and the fleet
+/// arena fill it through [`BootParts::add`].
+#[derive(Default)]
+pub(crate) struct BootParts {
+    procs: Vec<Process>,
+    tables: Vec<ResolutionTable>,
+    module_refs: HashMap<String, usize>,
+    telemetry: TelemetryWriter,
+}
+
+impl BootParts {
+    /// Number of processes added so far. Process `i` has ASID `i + 1`.
+    pub(crate) fn len(&self) -> usize {
+        self.procs.len()
+    }
+
+    /// Loads `modules` into a fresh address space with the next ASID
+    /// (entry `main`, default stack) and adds the process.
+    pub(crate) fn load(
+        &mut self,
+        modules: &[ModuleSpec],
+        link: LinkOptions,
+    ) -> Result<(), SystemError> {
+        let mut space = AddressSpace::new(self.len() as u64 + 1);
+        let image = Loader::new(link).load(modules, "main", &mut space)?;
+        self.add(Arc::new(image), link, space, STACK_BYTES)
+    }
+
+    /// Adds a process whose `space` holds `image`, loaded into it or
+    /// forked from the space it was loaded into: maps its stack, takes a
+    /// reference on each module and seeds its live table. Eager
+    /// (`BIND_NOW`) loads resolved everything at link time: their binds
+    /// are recorded as telemetry but never enter the prelink cache,
+    /// which records only lazy resolution work worth skipping.
+    pub(crate) fn add(
+        &mut self,
+        image: Arc<ProcessImage>,
+        link: LinkOptions,
+        space: AddressSpace,
+        stack_bytes: u64,
+    ) -> Result<(), SystemError> {
+        let context = ProcessContext::new(space, image.entry(), STACK_TOP, stack_bytes)?;
+        for m in image.modules() {
+            *self.module_refs.entry(m.name.clone()).or_insert(0) += 1;
+        }
+        if link.mode == LinkMode::DynamicNow {
+            for b in image.resolution().iter() {
+                self.telemetry.record(
+                    b.module,
+                    b.import,
+                    ResolutionKind::Eager,
+                    b.got_slot,
+                    b.target,
+                    0,
+                );
+            }
+        }
+        self.tables.push(image.resolution().clone());
+        self.procs.push(Process {
+            context,
+            image,
+            link,
+            gc_remnants: HashMap::new(),
+            marks: 0,
+            prelink_outcome: None,
+        });
+        Ok(())
+    }
+}
+
+/// Registers the lazy resolver: it reads the binding key from the
+/// scratch register, looks it up in the *active* process's table,
+/// rewrites the GOT slot *through the store path* (so the Bloom filter
+/// observes it) and redirects to the target. Every resolution is
+/// recorded in the active process's prelink cache and in the telemetry
+/// stream.
+fn register_resolver(machine: &mut Machine, linker: Arc<Mutex<Linker>>) {
+    let explicit_invalidate = !machine.config().accel.has_bloom();
+    machine.register_host_fn(
+        RESOLVER_HOST_FN,
+        Box::new(move |ctx| {
+            let key = ctx.reg(Reg::SCRATCH);
+            let mut guard = lock_recovering(&linker);
+            let Linker {
+                active,
+                tables,
+                builders,
+                telemetry,
+            } = &mut *guard;
+            let table = &tables[*active];
+            let binding = table
+                .binding_for_key(key)
+                .expect("lazy stub fired with unknown binding key");
+            // A binding into a `dlclose`d module resolves through to the
+            // next open provider in interposition order.
+            let target = table.effective_target(&binding.symbol, binding.target);
+            let (module, import, got_slot) = (binding.module, binding.import, binding.got_slot);
+            let owner = table.owner_of(target);
+            ctx.store_u64(got_slot, target.as_u64())
+                .expect("GOT slot is mapped read-write");
+            if explicit_invalidate {
+                // §3.4: software-visible ABTB invalidation in the
+                // no-Bloom variant.
+                ctx.invalidate_abtb();
+            }
+            ctx.set_pc(target);
+            ctx.count_resolver();
+            let builder = &mut builders[*active];
+            builder.record(module, import, got_slot, target, owner);
+            telemetry.record(
+                module,
+                import,
+                ResolutionKind::Lazy,
+                got_slot,
+                target,
+                builder.epoch(),
+            );
+        }),
+    );
+}
+
+fn unknown_module(name: &str) -> SystemError {
+    SystemError::UnknownModule {
+        name: name.to_owned(),
+    }
+}
 
 /// Several loaded processes time-sharing one simulated [`Machine`].
 ///
-/// Process 0 starts active. `contexts[i]` always parks process `i`'s
+/// Process 0 starts active. Each process's context slot parks its
 /// state while it is suspended; the slot of the *active* process holds
-/// the throwaway boot context instead.
+/// the placeholder space instead.
 pub struct MultiProcessSystem {
     machine: Machine,
-    contexts: Vec<ProcessContext>,
-    images: Vec<Arc<ProcessImage>>,
-    tables: SharedTables,
+    procs: Vec<Process>,
+    linker: Arc<Mutex<Linker>>,
     shared_got_pair: Option<(usize, usize)>,
     active: usize,
     switches: u64,
@@ -77,32 +241,12 @@ pub struct MultiProcessSystem {
     /// displaces.
     thread_switches: u64,
     thread_switches_per_core: Vec<u64>,
-    /// Marks retired by each process so far; `Machine`'s mark buffer is
-    /// drained into the active slot after every run segment so schedule
-    /// targets are relative to the process they name.
-    marks_per_proc: Vec<u64>,
     /// Module name → number of processes holding it open. The code
     /// pages model OS-shared physical frames: each `dlclose` tears down
     /// the closing process's own mapping, but the module counts as
     /// garbage-collected (and `modules_gcd` ticks) only when the last
     /// reference drops.
     module_refs: HashMap<String, usize>,
-    /// Per-process code snapshots of closed modules, for reopening.
-    gc_remnants: Vec<HashMap<String, GcRemnant>>,
-    /// Whether each process was loaded with demand paging (lazy mode),
-    /// so a reopen re-registers extents without faulting them in.
-    demand: Vec<bool>,
-    /// One in-memory prelink cache per process (lazy resolutions and
-    /// rebinds recorded, `dlclose` victims tombstoned).
-    builders: Arc<Mutex<Vec<SnapshotBuilder>>>,
-    /// Resolution telemetry, shared across processes in event order.
-    telemetry: Arc<Mutex<TelemetryWriter>>,
-    /// Each process's load-time ifunc hardware level (part of its
-    /// snapshot fingerprint).
-    hw_levels: Vec<usize>,
-    /// What each process's boot-time prelink restore did, when built
-    /// via [`MultiProcessSystem::new_with_cores_prelink`].
-    prelink_outcomes: Vec<Option<RestoreOutcome>>,
 }
 
 impl MultiProcessSystem {
@@ -176,51 +320,11 @@ impl MultiProcessSystem {
                 return Err(SystemError::NoModules);
             }
         }
-        let n = procs.len();
-        let mut contexts = Vec::with_capacity(n);
-        let mut images = Vec::with_capacity(n);
-        let mut table_vec = Vec::with_capacity(n);
-        let mut module_refs: HashMap<String, usize> = HashMap::new();
-        let mut demand = Vec::with_capacity(n);
-        let mut hw_levels = Vec::with_capacity(n);
-        let mut eager_telemetry = TelemetryWriter::new();
-        for (i, (specs, opts)) in procs.iter().enumerate() {
-            let mut space = AddressSpace::new(i as u64 + 1);
-            let image = Loader::new(*opts).load(specs, "main", &mut space)?;
-            let ctx = ProcessContext::new(space, image.entry(), STACK_TOP, STACK_BYTES)?;
-            for m in image.modules() {
-                *module_refs.entry(m.name.clone()).or_insert(0) += 1;
-            }
-            demand.push(opts.demand_paging && opts.mode == LinkMode::DynamicLazy);
-            hw_levels.push(opts.hw_level);
-            if opts.mode == LinkMode::DynamicNow {
-                // Load-time binds: telemetry only, never the prelink
-                // cache (see `SystemBuilder::build`).
-                for b in image.resolution().iter() {
-                    eager_telemetry.record(
-                        b.module,
-                        b.import,
-                        ResolutionKind::Eager,
-                        b.got_slot,
-                        b.target,
-                        0,
-                    );
-                }
-            }
-            table_vec.push(image.resolution().clone());
-            images.push(Arc::new(image));
-            contexts.push(ctx);
+        let mut parts = BootParts::default();
+        for (specs, opts) in &procs {
+            parts.load(specs, *opts)?;
         }
-        let parts = BootParts {
-            contexts,
-            images,
-            tables: table_vec,
-            module_refs,
-            demand,
-            hw_levels,
-            eager_telemetry,
-        };
-        Self::assemble(parts, cfg, shared_got_pair, cores, prelink)
+        Self::boot(parts, cfg, shared_got_pair, cores, prelink)
     }
 
     /// Spawns a *fleet* of tenant processes from class templates and
@@ -250,14 +354,14 @@ impl MultiProcessSystem {
         if cores == 0 {
             return Err(SystemError::NoModules);
         }
-        let parts = ProcessArena::build(classes, stack_bytes)?;
-        Self::assemble(parts, cfg, None, cores, Vec::new())
+        let parts = crate::arena::spawn_tenants(classes, stack_bytes)?;
+        Self::boot(parts, cfg, None, cores, Vec::new())
     }
 
-    /// Boots a machine over fully prepared per-process parts: registers
-    /// the dispatching resolver, hands process 0's space/thread to the
-    /// machine, and applies any boot-time prelink restores.
-    fn assemble(
+    /// Boots a machine over loaded processes: registers the resolver,
+    /// hands process 0's space and thread to the machine, and applies
+    /// any boot-time prelink restores.
+    pub(crate) fn boot(
         parts: BootParts,
         cfg: MachineConfig,
         shared_got_pair: Option<(usize, usize)>,
@@ -265,81 +369,30 @@ impl MultiProcessSystem {
         prelink: Vec<Option<ResolutionSnapshot>>,
     ) -> Result<Self, SystemError> {
         let BootParts {
-            mut contexts,
-            images,
-            tables: table_vec,
+            mut procs,
+            tables,
             module_refs,
-            demand,
-            hw_levels,
-            eager_telemetry,
+            telemetry,
         } = parts;
-        let n = contexts.len();
-        let tables: SharedTables = Arc::new(Mutex::new((0, table_vec)));
-        let builders = Arc::new(Mutex::new(vec![SnapshotBuilder::new(); n]));
-        let telemetry = Arc::new(Mutex::new(eager_telemetry));
-
+        let linker = Arc::new(Mutex::new(Linker {
+            active: 0,
+            builders: vec![SnapshotBuilder::new(); tables.len()],
+            tables,
+            telemetry,
+        }));
         let mut machine = MachineBuilder::new(cfg)
             .cores(cores)
             .build(AddressSpace::new(0));
-        let dispatch = Arc::clone(&tables);
-        let builders_handle = Arc::clone(&builders);
-        let telemetry_handle = Arc::clone(&telemetry);
-        let explicit_invalidate = !machine.config().accel.has_bloom();
-        machine.register_host_fn(
-            RESOLVER_HOST_FN,
-            Box::new(move |ctx| {
-                let key = ctx.reg(Reg::SCRATCH);
-                let (active, module, import, got_slot, target, owner) = {
-                    let guard = dispatch.lock().expect("resolution mutex poisoned");
-                    let (active, ref tables) = *guard;
-                    let binding = tables[active]
-                        .binding_for_key(key)
-                        .expect("lazy stub fired with unknown binding key");
-                    // A binding into a `dlclose`d module resolves
-                    // through to the next open provider.
-                    let target = tables[active].effective_target(&binding.symbol, binding.target);
-                    (
-                        active,
-                        binding.module,
-                        binding.import,
-                        binding.got_slot,
-                        target,
-                        tables[active].owner_of(target),
-                    )
-                };
-                ctx.store_u64(got_slot, target.as_u64())
-                    .expect("GOT slot is mapped read-write");
-                if explicit_invalidate {
-                    ctx.invalidate_abtb();
-                }
-                ctx.set_pc(target);
-                ctx.count_resolver();
-                let epoch = {
-                    let mut bs = lock_recovering(&builders_handle);
-                    bs[active].record(module, import, got_slot, target, owner);
-                    bs[active].epoch()
-                };
-                lock_recovering(&telemetry_handle).record(
-                    module,
-                    import,
-                    ResolutionKind::Lazy,
-                    got_slot,
-                    target,
-                    epoch,
-                );
-            }),
-        );
+        register_resolver(&mut machine, Arc::clone(&linker));
 
-        // Boot: hand process 0's address space to the machine (its
-        // context slot now parks the placeholder space), load its
-        // thread state onto core 0, and neutralise the boot switch's
-        // counter effects.
-        machine.swap_space_with(contexts[0].space_mut());
-        machine.load_thread(0, &contexts[0]);
+        // Hand process 0's address space to the machine (its context
+        // slot now parks the placeholder space), load its thread state
+        // onto core 0, and neutralise the boot switch's counter effects.
+        machine.swap_space_with(procs[0].context.space_mut());
+        machine.load_thread(0, &procs[0].context);
         machine.set_active_core(0);
         machine.core_context_switch(0);
-        let ranges = images[0].plt_ranges().to_vec();
-        machine.set_plt_ranges(&ranges);
+        machine.set_plt_ranges(procs[0].image.plt_ranges());
         machine.reset_counters();
         machine.take_marks();
         let mut resident = vec![None; cores];
@@ -347,36 +400,32 @@ impl MultiProcessSystem {
 
         let mut mps = MultiProcessSystem {
             machine,
-            contexts,
-            images,
-            tables,
+            procs,
+            linker,
             shared_got_pair,
             active: 0,
             switches: 0,
             resident,
             thread_switches: 0,
             thread_switches_per_core: vec![0; cores],
-            marks_per_proc: vec![0; n],
             module_refs,
-            gc_remnants: vec![HashMap::new(); n],
-            demand,
-            builders,
-            telemetry,
-            hw_levels,
-            prelink_outcomes: vec![None; n],
         };
-        for (p, snap) in prelink.iter().enumerate().take(n) {
-            if let Some(snap) = snap {
-                let outcome = mps.restore_snapshot_for(p, snap)?;
-                mps.prelink_outcomes[p] = Some(outcome);
+        for (p, snapshot) in prelink.into_iter().enumerate().take(mps.n_procs()) {
+            if let Some(snapshot) = snapshot {
+                let outcome = mps.restore_snapshot_for(p, &snapshot)?;
+                mps.procs[p].prelink_outcome = Some(outcome);
             }
         }
         Ok(mps)
     }
 
+    fn linker(&self) -> MutexGuard<'_, Linker> {
+        lock_recovering(&self.linker)
+    }
+
     /// Number of processes.
     pub fn n_procs(&self) -> usize {
-        self.contexts.len()
+        self.procs.len()
     }
 
     /// Index of the active process.
@@ -408,7 +457,7 @@ impl MultiProcessSystem {
 
     /// Process `p`'s image.
     pub fn image(&self, p: usize) -> &ProcessImage {
-        &self.images[p]
+        &self.procs[p].image
     }
 
     /// The underlying machine (which holds the *active* process).
@@ -423,7 +472,7 @@ impl MultiProcessSystem {
 
     /// Marks retired by process `p` so far.
     pub fn marks_of(&self, p: usize) -> u64 {
-        self.marks_per_proc[p]
+        self.procs[p].marks
     }
 
     /// Whether process `p` has halted. The active process's flag lives
@@ -432,7 +481,7 @@ impl MultiProcessSystem {
         if p == self.active {
             self.machine.halted()
         } else {
-            self.contexts[p].halted()
+            self.procs[p].context.halted()
         }
     }
 
@@ -448,7 +497,7 @@ impl MultiProcessSystem {
     }
 
     fn drain_marks(&mut self) {
-        self.marks_per_proc[self.active] += self.machine.take_marks().len() as u64;
+        self.procs[self.active].marks += self.machine.take_marks().len() as u64;
     }
 
     /// See `MultiOracle::mirror_shared_got_from_active`: copies the
@@ -466,7 +515,7 @@ impl MultiProcessSystem {
             _ => return,
         };
         let mut blocks: Vec<(VirtAddr, Vec<u8>)> = Vec::new();
-        for m in self.images[self.active].modules() {
+        for m in self.procs[self.active].image.modules() {
             if m.got_len == 0 {
                 continue;
             }
@@ -481,7 +530,10 @@ impl MultiProcessSystem {
             }
         }
         for (base, buf) in blocks {
-            let _ = self.contexts[partner].space_mut().write_bytes(base, &buf);
+            let _ = self.procs[partner]
+                .context
+                .space_mut()
+                .write_bytes(base, &buf);
         }
     }
 
@@ -496,7 +548,7 @@ impl MultiProcessSystem {
     /// §3.3 policy) only when the incoming thread *displaces* a
     /// different resident thread; a warm resume flushes nothing.
     pub fn switch_to(&mut self, p: usize) -> bool {
-        if p == self.active || p >= self.contexts.len() {
+        if p == self.active || p >= self.procs.len() {
             return false;
         }
         self.drain_marks();
@@ -507,12 +559,15 @@ impl MultiProcessSystem {
         // Park the departing thread's architectural state and hand its
         // address space back to its own context slot (which was parking
         // the placeholder space).
-        self.machine.park_thread(old_core, &mut self.contexts[old]);
-        self.machine.swap_space_with(self.contexts[old].space_mut());
+        self.machine
+            .park_thread(old_core, &mut self.procs[old].context);
+        self.machine
+            .swap_space_with(self.procs[old].context.space_mut());
         // Pull the incoming thread's space onto the machine (its slot
         // now parks the placeholder) and its state onto its core.
-        self.machine.swap_space_with(self.contexts[p].space_mut());
-        self.machine.load_thread(new_core, &self.contexts[p]);
+        self.machine
+            .swap_space_with(self.procs[p].context.space_mut());
+        self.machine.load_thread(new_core, &self.procs[p].context);
         self.machine.set_active_core(new_core);
         if self.resident[new_core] != Some(p) {
             self.machine.core_context_switch(new_core);
@@ -520,11 +575,11 @@ impl MultiProcessSystem {
             self.thread_switches_per_core[new_core] += 1;
         }
         self.resident[new_core] = Some(p);
-        let ranges = self.images[p].plt_ranges().to_vec();
-        self.machine.set_plt_ranges(&ranges);
+        self.machine
+            .set_plt_ranges(self.procs[p].image.plt_ranges());
         self.active = p;
         self.switches += 1;
-        self.tables.lock().expect("resolution mutex poisoned").0 = p;
+        self.linker().active = p;
         true
     }
 
@@ -540,7 +595,7 @@ impl MultiProcessSystem {
         at_mark: u64,
         max_instructions: u64,
     ) -> Result<(), CpuError> {
-        let needed = at_mark.saturating_sub(self.marks_per_proc[self.active]);
+        let needed = at_mark.saturating_sub(self.procs[self.active].marks);
         if needed > 0 {
             self.machine
                 .run_until_marks(needed as usize, max_instructions)?;
@@ -565,6 +620,23 @@ impl MultiProcessSystem {
         self.machine.invalidate_abtb();
     }
 
+    /// Rewrites one of the active process's GOT slots through the
+    /// external-store path, so the Bloom filters observe it.
+    fn store_got(&mut self, slot: VirtAddr, value: VirtAddr) -> Result<(), SystemError> {
+        self.machine.space_mut().write_u64(slot, value.as_u64())?;
+        self.machine.broadcast_store(slot);
+        Ok(())
+    }
+
+    /// §3.4 software-managed variant: after rewriting GOT slots with no
+    /// Bloom filter watching them, the runtime must invalidate the ABTB
+    /// itself.
+    fn invalidate_after_rewrites(&mut self, rewrites: usize) {
+        if rewrites > 0 && !self.machine.config().accel.has_bloom() {
+            self.machine.invalidate_abtb();
+        }
+    }
+
     /// `System::unbind_library` scoped to the active process: re-arms
     /// every GOT slot bound into `victim`, notifying the machine of
     /// each store on the active core's broadcast path (plus the §3.4
@@ -577,24 +649,16 @@ impl MultiProcessSystem {
     ///
     /// [`SystemError::UnknownModule`] when `victim` is not loaded.
     pub fn unbind_active(&mut self, victim: &str) -> Result<u64, SystemError> {
-        if self.images[self.active].module(victim).is_none() {
-            return Err(SystemError::UnknownModule {
-                name: victim.to_owned(),
-            });
+        let image = &self.procs[self.active].image;
+        if image.module(victim).is_none() {
+            return Err(unknown_module(victim));
         }
-        let writes = self.images[self.active].unbind_writes_for(victim);
-        let mut n = 0;
-        for (got_slot, stub) in writes {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, stub.as_u64())?;
-            self.machine.broadcast_store(got_slot);
-            n += 1;
+        let writes = image.unbind_writes_for(victim);
+        for &(got_slot, stub) in &writes {
+            self.store_got(got_slot, stub)?;
         }
-        if n > 0 && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
-        }
-        Ok(n)
+        self.invalidate_after_rewrites(writes.len());
+        Ok(writes.len() as u64)
     }
 
     /// `System::rebind_symbol` scoped to the active process: rewrites
@@ -606,12 +670,11 @@ impl MultiProcessSystem {
     /// [`SystemError::UnknownModule`] / [`SystemError::UnknownSymbol`]
     /// when the provider or symbol is missing.
     pub fn rebind_active(&mut self, symbol: &str, provider: &str) -> Result<u64, SystemError> {
-        let image = &self.images[self.active];
+        let p = self.active;
+        let image = &self.procs[p].image;
         let module = image
             .module(provider)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: provider.to_owned(),
-            })?;
+            .ok_or_else(|| unknown_module(provider))?;
         let new_target = module
             .export(symbol)
             .ok_or_else(|| SystemError::UnknownSymbol {
@@ -630,33 +693,25 @@ impl MultiProcessSystem {
                     .map(move |(i, s)| (m.index, i, s.got_slot))
             })
             .collect();
-        let mut n = 0;
-        for (module_idx, import_idx, got_slot) in slots {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, new_target.as_u64())?;
-            self.machine.broadcast_store(got_slot);
-            let mut guard = self.tables.lock().expect("resolution mutex poisoned");
-            let active = guard.0;
-            if let Some(b) = guard.1[active].binding_mut(module_idx, import_idx) {
+        for &(module_idx, import_idx, got_slot) in &slots {
+            self.store_got(got_slot, new_target)?;
+            let mut linker = self.linker();
+            if let Some(b) = linker.tables[p].binding_mut(module_idx, import_idx) {
                 b.target = new_target;
             }
-            drop(guard);
-            // The rebound slot supersedes the prelink cache's record
-            // (and clears any tombstone).
-            lock_recovering(&self.builders)[self.active].record(
+            // The rebound slot supersedes whatever the prelink cache
+            // recorded for it (and clears any tombstone: the slot now
+            // points at a live provider again).
+            linker.builders[p].record(
                 module_idx,
                 import_idx,
                 got_slot,
                 new_target,
                 Some(provider_idx),
             );
-            n += 1;
         }
-        if n > 0 && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
-        }
-        Ok(n)
+        self.invalidate_after_rewrites(slots.len());
+        Ok(slots.len() as u64)
     }
 
     /// Open-reference count of module `name` across all processes.
@@ -683,31 +738,32 @@ impl MultiProcessSystem {
     /// the active process.
     pub fn dlclose_active(&mut self, victim: &str) -> Result<u64, SystemError> {
         let p = self.active;
-        let idx =
-            self.images[p]
-                .module_index(victim)
-                .ok_or_else(|| SystemError::UnknownModule {
-                    name: victim.to_owned(),
-                })?;
-        {
-            let guard = self.tables.lock().expect("resolution mutex poisoned");
-            if guard.1[p].is_closed(idx) {
-                return Ok(0);
-            }
+        let image = &self.procs[p].image;
+        let idx = image
+            .module_index(victim)
+            .ok_or_else(|| unknown_module(victim))?;
+        if self.linker().tables[p].is_closed(idx) {
+            return Ok(0);
         }
-        let mut n = 0;
-        for (got_slot, stub) in self.images[p].unbind_writes_for(victim) {
+        let writes = image.unbind_writes_for(victim);
+        for &(got_slot, stub) in &writes {
             self.machine
                 .space_mut()
                 .write_u64(got_slot, stub.as_u64())?;
-            n += 1;
         }
-        self.tables.lock().expect("resolution mutex poisoned").1[p].close_module(idx);
-        // Tombstone the victim's entries in this process's prelink
-        // cache: its code pages are about to be GC-unmapped, so a later
-        // restore must never re-arm a GOT slot into them.
-        lock_recovering(&self.builders)[p].tombstone(idx);
-        let extents = self.images[p].code_extents_of(victim);
+        {
+            let mut linker = self.linker();
+            linker.tables[p].close_module(idx);
+            // The closed module's code is about to be GC-unmapped:
+            // tombstone every prelink-cache entry resolved into it, so a
+            // later restore cannot re-arm a GOT slot into the recycled
+            // range.
+            linker.builders[p].tombstone(idx);
+        }
+        // Snapshot the code before tearing it down so a later reopen can
+        // rebuild it at the same addresses (`code_in_range` sees the
+        // backing image of demand-evicted pages too).
+        let extents = image.code_extents_of(victim);
         let code = extents
             .iter()
             .flat_map(|&(base, len)| self.machine.space().code_in_range(base, len))
@@ -715,7 +771,9 @@ impl MultiProcessSystem {
         for &(base, len) in &extents {
             self.machine.gc_unmap_code_region(base, len);
         }
-        self.gc_remnants[p].insert(victim.to_owned(), GcRemnant { extents, code });
+        self.procs[p]
+            .gc_remnants
+            .insert(victim.to_owned(), GcRemnant { extents, code });
         let refs = self
             .module_refs
             .get_mut(victim)
@@ -727,7 +785,7 @@ impl MultiProcessSystem {
         if self.machine.config().demand_invalidate {
             self.machine.invalidate_for_module_gc();
         }
-        Ok(n)
+        Ok(writes.len() as u64)
     }
 
     /// `System::dlreopen` scoped to the active process: rebuilds the
@@ -742,34 +800,31 @@ impl MultiProcessSystem {
     /// the active process.
     pub fn reopen_active(&mut self, name: &str) -> Result<bool, SystemError> {
         let p = self.active;
-        let idx = self.images[p]
+        let idx = self.procs[p]
+            .image
             .module_index(name)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: name.to_owned(),
-            })?;
-        {
-            let guard = self.tables.lock().expect("resolution mutex poisoned");
-            if !guard.1[p].is_closed(idx) {
-                return Ok(false);
-            }
+            .ok_or_else(|| unknown_module(name))?;
+        if !self.linker().tables[p].is_closed(idx) {
+            return Ok(false);
         }
-        let remnant = self.gc_remnants[p]
+        let proc = &mut self.procs[p];
+        let remnant = proc
+            .gc_remnants
             .remove(name)
             .expect("closed module has a GC remnant");
+        let space = self.machine.space_mut();
         for &(base, len) in &remnant.extents {
-            self.machine
-                .space_mut()
-                .map_code_region(base, len, Perms::RX)?;
+            space.map_code_region(base, len, Perms::RX)?;
         }
         for &(addr, inst) in &remnant.code {
-            self.machine.space_mut().place_code(addr, inst)?;
+            space.place_code(addr, inst)?;
         }
-        if self.demand[p] {
+        if proc.demand_paged() {
             for &(base, len) in &remnant.extents {
-                self.machine.space_mut().evict_code_region(base, len);
+                space.evict_code_region(base, len);
             }
         }
-        self.tables.lock().expect("resolution mutex poisoned").1[p].reopen_module(idx);
+        self.linker().tables[p].reopen_module(idx);
         *self
             .module_refs
             .get_mut(name)
@@ -788,15 +843,12 @@ impl MultiProcessSystem {
     /// active process.
     pub fn evict_active_page(&mut self, lib: &str, page: u64) -> Result<bool, SystemError> {
         let p = self.active;
-        let (idx, text_base, text_len) = {
-            let m = self.images[p]
-                .module(lib)
-                .ok_or_else(|| SystemError::UnknownModule {
-                    name: lib.to_owned(),
-                })?;
-            (m.index, m.text_base, m.text_len.max(1))
-        };
-        if self.tables.lock().expect("resolution mutex poisoned").1[p].is_closed(idx) {
+        let m = self.procs[p]
+            .image
+            .module(lib)
+            .ok_or_else(|| unknown_module(lib))?;
+        let (idx, text_base, text_len) = (m.index, m.text_base, m.text_len.max(1));
+        if self.linker().tables[p].is_closed(idx) {
             return Ok(false);
         }
         let pages = text_len.div_ceil(PAGE_BYTES);
@@ -804,14 +856,40 @@ impl MultiProcessSystem {
         Ok(self.machine.evict_code_page(addr)?)
     }
 
+    /// `dlopen(3)` into the active process (see `System::dlopen`): the
+    /// new module's imports resolve against the loaded modules, its lazy
+    /// bindings join the live table, it takes a reference, and
+    /// trampoline classification is refreshed.
+    pub(crate) fn dlopen_active(&mut self, spec: &ModuleSpec) -> Result<(), SystemError> {
+        let p = self.active;
+        let proc = &mut self.procs[p];
+        let image = Arc::make_mut(&mut proc.image);
+        let bindings =
+            Loader::new(proc.link).load_additional(image, spec, self.machine.space_mut())?;
+        self.machine.set_plt_ranges(image.plt_ranges());
+        self.linker().tables[p].push_module(bindings);
+        *self.module_refs.entry(spec.name.clone()).or_insert(0) += 1;
+        Ok(())
+    }
+
+    /// The §4.3 software emulation on the active process's running
+    /// image (see `System::patch_call_sites`).
+    pub(crate) fn patch_active_call_sites(&mut self) -> Result<u64, SystemError> {
+        let image = &self.procs[self.active].image;
+        Ok(apply_call_site_patches(image, self.machine.space_mut())?)
+    }
+
     /// Freezes process `p`'s in-memory prelink cache into a
     /// serializable snapshot stamped with that process's live
     /// [`fingerprint`].
     pub fn capture_snapshot_of(&self, p: usize) -> ResolutionSnapshot {
-        let guard = self.tables.lock().expect("resolution mutex poisoned");
-        let fp = fingerprint(&self.images[p], &guard.1[p], self.hw_levels[p]);
-        drop(guard);
-        lock_recovering(&self.builders)[p].snapshot(fp)
+        let linker = self.linker();
+        linker.builders[p].snapshot(self.fingerprint_of(p, &linker))
+    }
+
+    fn fingerprint_of(&self, p: usize, linker: &Linker) -> u64 {
+        let proc = &self.procs[p];
+        fingerprint(&proc.image, &linker.tables[p], proc.link.hw_level)
     }
 
     /// Restores a serialized snapshot into process `p` (rules as in
@@ -830,14 +908,10 @@ impl MultiProcessSystem {
         snapshot: &ResolutionSnapshot,
     ) -> Result<RestoreOutcome, SystemError> {
         let validate = self.machine.config().prelink_validate;
-        if validate {
-            let guard = self.tables.lock().expect("resolution mutex poisoned");
-            let live = fingerprint(&self.images[p], &guard.1[p], self.hw_levels[p]);
-            if snapshot.fingerprint != live {
-                return Ok(RestoreOutcome::Fallback);
-            }
+        if validate && snapshot.fingerprint != self.fingerprint_of(p, &self.linker()) {
+            return Ok(RestoreOutcome::Fallback);
         }
-        self.install_entries_for(p, &snapshot.entries, validate)
+        self.install_entries(p, &snapshot.entries, validate)
     }
 
     /// Re-installs the *active* process's own in-memory prelink cache
@@ -851,13 +925,12 @@ impl MultiProcessSystem {
     /// Propagates memory faults from GOT writes.
     pub fn prelink_restore_active(&mut self) -> Result<RestoreOutcome, SystemError> {
         let p = self.active;
-        let entries: Vec<SnapshotEntry> =
-            lock_recovering(&self.builders)[p].iter().copied().collect();
+        let entries: Vec<SnapshotEntry> = self.linker().builders[p].iter().copied().collect();
         let validate = self.machine.config().prelink_validate;
-        self.install_entries_for(p, &entries, validate)
+        self.install_entries(p, &entries, validate)
     }
 
-    fn install_entries_for(
+    fn install_entries(
         &mut self,
         p: usize,
         entries: &[SnapshotEntry],
@@ -865,46 +938,34 @@ impl MultiProcessSystem {
     ) -> Result<RestoreOutcome, SystemError> {
         let mut installed = 0;
         let mut skipped = 0;
-        let epoch = lock_recovering(&self.builders)[p].epoch();
+        let epoch = self.linker().builders[p].epoch();
         for e in entries {
-            let skip = validate && {
-                let guard = self.tables.lock().expect("resolution mutex poisoned");
-                e.should_skip(&guard.1[p])
-            };
-            if skip {
+            let kind = if validate && e.should_skip(&self.linker().tables[p]) {
                 skipped += 1;
-                lock_recovering(&self.telemetry).record(
-                    e.module as usize,
-                    e.import as usize,
-                    ResolutionKind::CacheMiss,
-                    e.got_slot,
-                    e.target,
-                    epoch,
-                );
-                continue;
-            }
-            if p == self.active {
-                self.machine
-                    .space_mut()
-                    .write_u64(e.got_slot, e.target.as_u64())?;
-                self.machine.broadcast_store(e.got_slot);
+                ResolutionKind::CacheMiss
             } else {
-                self.contexts[p]
-                    .space_mut()
-                    .write_u64(e.got_slot, e.target.as_u64())?;
-            }
-            installed += 1;
-            lock_recovering(&self.telemetry).record(
+                if p == self.active {
+                    self.store_got(e.got_slot, e.target)?;
+                } else {
+                    self.procs[p]
+                        .context
+                        .space_mut()
+                        .write_u64(e.got_slot, e.target.as_u64())?;
+                }
+                installed += 1;
+                ResolutionKind::CacheHit
+            };
+            self.linker().telemetry.record(
                 e.module as usize,
                 e.import as usize,
-                ResolutionKind::CacheHit,
+                kind,
                 e.got_slot,
                 e.target,
                 epoch,
             );
         }
-        if installed > 0 && p == self.active && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
+        if p == self.active {
+            self.invalidate_after_rewrites(installed);
         }
         Ok(RestoreOutcome::Restored { installed, skipped })
     }
@@ -913,13 +974,18 @@ impl MultiProcessSystem {
     /// system was built via
     /// [`MultiProcessSystem::new_with_cores_prelink`].
     pub fn prelink_outcome_of(&self, p: usize) -> Option<RestoreOutcome> {
-        self.prelink_outcomes[p]
+        self.procs[p].prelink_outcome
+    }
+
+    /// A copy of process `p`'s in-memory prelink cache.
+    pub(crate) fn snapshot_builder_of(&self, p: usize) -> SnapshotBuilder {
+        self.linker().builders[p].clone()
     }
 
     /// Drains the resolution telemetry collected so far, in event order
     /// across all processes.
     pub fn take_resolution_telemetry(&mut self) -> Vec<ResolutionRecord> {
-        lock_recovering(&self.telemetry).take()
+        self.linker().telemetry.take()
     }
 
     /// Reads a register of process `p` (from the machine when active,
@@ -928,7 +994,7 @@ impl MultiProcessSystem {
         if p == self.active {
             self.machine.reg(r)
         } else {
-            self.contexts[p].reg(r)
+            self.procs[p].context.reg(r)
         }
     }
 
@@ -937,7 +1003,7 @@ impl MultiProcessSystem {
         if p == self.active {
             self.machine.pc()
         } else {
-            self.contexts[p].pc()
+            self.procs[p].context.pc()
         }
     }
 
@@ -950,7 +1016,7 @@ impl MultiProcessSystem {
         if p == self.active {
             self.machine.space()
         } else {
-            self.contexts[p].space()
+            self.procs[p].context.space()
         }
     }
 }

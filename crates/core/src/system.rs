@@ -1,24 +1,24 @@
-//! The `System`: loaded process + simulated machine.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+//! The `System`: one loaded process on a simulated machine.
+//!
+//! A [`System`] is the one-process case of [`MultiProcessSystem`] and
+//! wraps one: booting, the lazy resolver and every runtime-linker
+//! operation are the multi-process code acting on process 0 (ASID 1,
+//! entry `main`). Run control calls the machine directly, so callers
+//! drain the machine's mark events themselves.
 
 use dynlink_cpu::{CpuError, LinkAccel, Machine, MachineConfig, MarkEvent, RunExit};
-use dynlink_isa::{Inst, Reg, VirtAddr};
+use dynlink_isa::Reg;
 use dynlink_linker::{
-    apply_call_site_patches, fingerprint, LinkMode, LinkOptions, Loader, ModuleSpec, ProcessImage,
-    ResolutionSnapshot, ResolutionTable, RestoreOutcome, SnapshotBuilder, SnapshotEntry,
-    TrampolineFlavor, RESOLVER_HOST_FN,
+    LinkMode, LinkOptions, ModuleSpec, ProcessImage, ResolutionSnapshot, RestoreOutcome,
+    SnapshotBuilder, TrampolineFlavor,
 };
-use dynlink_mem::layout::{LibraryPlacement, STACK_TOP};
-use dynlink_mem::{AddressSpace, MemStats, Perms, PAGE_BYTES};
-use dynlink_trace::{lock_recovering, ResolutionKind, ResolutionRecord, TelemetryWriter};
+use dynlink_mem::layout::LibraryPlacement;
+use dynlink_mem::{AddressSpace, MemStats};
+use dynlink_trace::ResolutionRecord;
 use dynlink_uarch::PerfCounters;
 
+use crate::multi::{BootParts, MultiProcessSystem};
 use crate::SystemError;
-
-/// Default stack size for simulated processes.
-const STACK_BYTES: u64 = 1 << 20;
 
 /// Builds a [`System`] from module specs and configuration.
 ///
@@ -31,8 +31,6 @@ pub struct SystemBuilder {
     /// Recorded separately from `machine` so setter order can't matter:
     /// `accel(..)` and `machine_config(..)` are merged in [`Self::build`].
     accel: Option<LinkAccel>,
-    entry_symbol: String,
-    asid: u64,
     /// A serialized resolution snapshot to restore at process start
     /// (the `Prelink` start mode).
     prelink: Option<ResolutionSnapshot>,
@@ -43,13 +41,8 @@ impl SystemBuilder {
     /// library placement, baseline machine, entry at `main`).
     pub fn new() -> Self {
         SystemBuilder {
-            modules: Vec::new(),
-            link: LinkOptions::default(),
             machine: MachineConfig::baseline(),
-            accel: None,
-            entry_symbol: "main".to_owned(),
-            asid: 1,
-            prelink: None,
+            ..SystemBuilder::default()
         }
     }
 
@@ -124,18 +117,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides the entry symbol (default `main`).
-    pub fn entry_symbol(mut self, symbol: &str) -> Self {
-        self.entry_symbol = symbol.to_owned();
-        self
-    }
-
-    /// Sets the address-space ID (relevant for ASID-tagged structures).
-    pub fn asid(mut self, asid: u64) -> Self {
-        self.asid = asid;
-        self
-    }
-
     /// Starts the process in `Prelink` mode: the given resolution
     /// snapshot is restored immediately after load (see
     /// [`System::restore_snapshot`] for the fingerprint and validation
@@ -156,119 +137,15 @@ impl SystemBuilder {
         if self.modules.is_empty() {
             return Err(SystemError::NoModules);
         }
-        let mut machine_cfg = self.machine;
+        let mut cfg = self.machine;
         if let Some(accel) = self.accel {
-            machine_cfg.accel = accel;
+            cfg.accel = accel;
         }
-        let mut space = AddressSpace::new(self.asid);
-        let image = Loader::new(self.link).load(&self.modules, &self.entry_symbol, &mut space)?;
-        let resolution = Arc::new(Mutex::new(image.resolution().clone()));
-        let mut machine = Machine::new(machine_cfg, space);
-        machine.set_plt_ranges(image.plt_ranges());
-        machine.init_stack(STACK_TOP, STACK_BYTES)?;
-        machine.reset(image.entry());
-
-        // Wire the lazy resolver: read the binding key from the scratch
-        // register, rewrite the GOT slot *through the store path* (so
-        // the Bloom filter observes it), and redirect to the target.
-        // Every resolution is recorded in the snapshot builder (the
-        // in-memory prelink cache) and the resolution telemetry stream.
-        let table = Arc::clone(&resolution);
-        let snapshot_builder = Arc::new(Mutex::new(SnapshotBuilder::new()));
-        let telemetry = Arc::new(Mutex::new(TelemetryWriter::new()));
-        let builder_handle = Arc::clone(&snapshot_builder);
-        let telemetry_handle = Arc::clone(&telemetry);
-        let explicit_invalidate = !machine.config().accel.has_bloom();
-        machine.register_host_fn(
-            RESOLVER_HOST_FN,
-            Box::new(move |ctx| {
-                let key = ctx.reg(Reg::SCRATCH);
-                let (module, import, got_slot, target, owner) = {
-                    let table = table.lock().expect("resolution mutex poisoned");
-                    let binding = table
-                        .binding_for_key(key)
-                        .expect("lazy stub fired with unknown binding key");
-                    // A binding into a `dlclose`d module resolves through
-                    // to the next open provider in interposition order.
-                    let target = table.effective_target(&binding.symbol, binding.target);
-                    (
-                        binding.module,
-                        binding.import,
-                        binding.got_slot,
-                        target,
-                        table.owner_of(target),
-                    )
-                };
-                ctx.store_u64(got_slot, target.as_u64())
-                    .expect("GOT slot is mapped read-write");
-                if explicit_invalidate {
-                    // §3.4: software-visible ABTB invalidation in the
-                    // no-Bloom variant.
-                    ctx.invalidate_abtb();
-                }
-                ctx.set_pc(target);
-                ctx.count_resolver();
-                let epoch = {
-                    let mut b = lock_recovering(&builder_handle);
-                    b.record(module, import, got_slot, target, owner);
-                    b.epoch()
-                };
-                lock_recovering(&telemetry_handle).record(
-                    module,
-                    import,
-                    ResolutionKind::Lazy,
-                    got_slot,
-                    target,
-                    epoch,
-                );
-            }),
-        );
-
-        // Eager (BIND_NOW) loads resolved everything at link time: emit
-        // telemetry for the load-time binds, but never enter them into
-        // the snapshot builder — the prelink cache records only lazy
-        // resolution work worth skipping.
-        if image.mode() == LinkMode::DynamicNow {
-            let table = resolution.lock().expect("resolution mutex poisoned");
-            let mut t = lock_recovering(&telemetry);
-            for b in table.iter() {
-                t.record(
-                    b.module,
-                    b.import,
-                    ResolutionKind::Eager,
-                    b.got_slot,
-                    b.target,
-                    0,
-                );
-            }
-        }
-
-        let mut system = System {
-            machine,
-            image,
-            resolution,
-            link: self.link,
-            gc_remnants: HashMap::new(),
-            snapshot_builder,
-            telemetry,
-            prelink_outcome: None,
-        };
-        if let Some(snapshot) = self.prelink {
-            let outcome = system.restore_snapshot(&snapshot)?;
-            system.prelink_outcome = Some(outcome);
-        }
-        Ok(system)
+        let mut parts = BootParts::default();
+        parts.load(&self.modules, self.link)?;
+        let inner = MultiProcessSystem::boot(parts, cfg, None, 1, vec![self.prelink])?;
+        Ok(System { inner })
     }
-}
-
-/// What module GC tore down, kept so a later reopen can rebuild the
-/// module's code at the same virtual addresses.
-#[derive(Debug, Clone)]
-pub(crate) struct GcRemnant {
-    /// The unmapped code extents (`(base, len)`).
-    pub(crate) extents: Vec<(VirtAddr, u64)>,
-    /// The instructions that lived there.
-    pub(crate) code: Vec<(VirtAddr, Inst)>,
 }
 
 /// A loaded, runnable simulated process.
@@ -279,20 +156,8 @@ pub(crate) struct GcRemnant {
 /// unbinding for library unload, symbol rebinding for library upgrade,
 /// call-site patching for the §4.3 software emulation).
 pub struct System {
-    machine: Machine,
-    image: ProcessImage,
-    resolution: Arc<Mutex<ResolutionTable>>,
-    link: LinkOptions,
-    /// Code snapshots of `dlclose`d modules, for [`System::dlreopen`].
-    gc_remnants: HashMap<String, GcRemnant>,
-    /// The in-memory prelink cache: every lazy resolution and rebind is
-    /// recorded here; `dlclose` tombstones the victim's entries.
-    snapshot_builder: Arc<Mutex<SnapshotBuilder>>,
-    /// Resolution telemetry stream (one record per resolution event).
-    telemetry: Arc<Mutex<TelemetryWriter>>,
-    /// What the boot-time prelink restore did, when the system was
-    /// built with [`SystemBuilder::prelink_snapshot`].
-    prelink_outcome: Option<RestoreOutcome>,
+    /// A one-process system; the process is always active.
+    inner: MultiProcessSystem,
 }
 
 impl System {
@@ -302,7 +167,7 @@ impl System {
     ///
     /// Propagates CPU faults.
     pub fn run(&mut self, max_instructions: u64) -> Result<RunExit, CpuError> {
-        self.machine.run(max_instructions)
+        self.machine_mut().run(max_instructions)
     }
 
     /// Runs until at least `target_marks` marks have been recorded (see
@@ -316,75 +181,76 @@ impl System {
         target_marks: usize,
         max_instructions: u64,
     ) -> Result<RunExit, CpuError> {
-        self.machine.run_until_marks(target_marks, max_instructions)
+        self.machine_mut()
+            .run_until_marks(target_marks, max_instructions)
     }
 
     /// Restarts execution at the image entry point (state such as
     /// registers and memory is *not* reset; use for request loops that
     /// re-enter `main`).
     pub fn restart(&mut self) {
-        let entry = self.image.entry();
-        self.machine.reset(entry);
+        let entry = self.image().entry();
+        self.machine_mut().reset(entry);
     }
 
     /// Snapshot of the performance counters.
     pub fn counters(&self) -> PerfCounters {
-        self.machine.counters()
+        self.inner.counters()
     }
 
     /// Resets performance counters keeping microarchitectural state warm
     /// (exclude warmup from steady-state measurements).
     pub fn reset_counters(&mut self) {
-        self.machine.reset_counters();
+        self.machine_mut().reset_counters();
     }
 
     /// Memory statistics of the simulated address space.
     pub fn mem_stats(&self) -> MemStats {
-        self.machine.space().stats()
+        self.machine().space().stats()
     }
 
     /// Drains recorded request marks.
     pub fn take_marks(&mut self) -> Vec<MarkEvent> {
-        self.machine.take_marks()
+        self.machine_mut().take_marks()
     }
 
     /// Reads a register.
     pub fn reg(&self, r: Reg) -> u64 {
-        self.machine.reg(r)
+        self.machine().reg(r)
     }
 
     /// Writes a register (harness-level argument passing).
     pub fn set_reg(&mut self, r: Reg, value: u64) {
-        self.machine.set_reg(r, value);
+        self.machine_mut().set_reg(r, value);
     }
 
     /// The underlying machine.
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        self.inner.machine()
     }
 
     /// Mutable access to the underlying machine (observers, context
     /// switches, ...).
     pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        self.inner.machine_mut()
     }
 
     /// The loaded process image.
     pub fn image(&self) -> &ProcessImage {
-        &self.image
+        self.inner.image(0)
     }
 
     /// Simulates a context switch (and switch back): flushes the
     /// untagged front-end structures and, per configuration, the ABTB.
     pub fn context_switch(&mut self) {
-        self.machine.context_switch();
+        self.machine_mut().context_switch();
     }
 
     /// Forks the process's address space copy-on-write (the prefork
     /// server model of §5.5). The returned space shares every page with
     /// this system until either side writes.
     pub fn fork_space(&self, child_asid: u64) -> AddressSpace {
-        self.machine.space().fork(child_asid)
+        self.machine().space().fork(child_asid)
     }
 
     /// Applies the §4.3 software emulation to the *running* image:
@@ -396,8 +262,7 @@ impl System {
     /// Fails if targets are out of rel32 range (far placement) or text
     /// pages are not writable.
     pub fn patch_call_sites(&mut self) -> Result<u64, SystemError> {
-        let n = apply_call_site_patches(&self.image, self.machine.space_mut())?;
-        Ok(n)
+        self.inner.patch_active_call_sites()
     }
 
     /// Loads one more module into the running process — `dlopen(3)`.
@@ -443,15 +308,7 @@ impl System {
     /// Fails on duplicate module names, unresolved imports or mapping
     /// errors.
     pub fn dlopen(&mut self, spec: ModuleSpec) -> Result<(), SystemError> {
-        let loader = Loader::new(self.link);
-        let bindings = loader.load_additional(&mut self.image, &spec, self.machine.space_mut())?;
-        self.resolution
-            .lock()
-            .expect("resolution mutex poisoned")
-            .push_module(bindings);
-        let ranges = self.image.plt_ranges().to_vec();
-        self.machine.set_plt_ranges(&ranges);
-        Ok(())
+        self.inner.dlopen_active(&spec)
     }
 
     /// Unbinds every GOT slot currently resolved into `victim`,
@@ -464,26 +321,7 @@ impl System {
     ///
     /// Returns [`SystemError::UnknownModule`] if `victim` is not loaded.
     pub fn unbind_library(&mut self, victim: &str) -> Result<u64, SystemError> {
-        if self.image.module(victim).is_none() {
-            return Err(SystemError::UnknownModule {
-                name: victim.to_owned(),
-            });
-        }
-        let writes = self.image.unbind_writes_for(victim);
-        let mut n = 0;
-        for (got_slot, stub) in writes {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, stub.as_u64())?;
-            self.machine.broadcast_store(got_slot);
-            n += 1;
-        }
-        if n > 0 && !self.machine.config().accel.has_bloom() {
-            // §3.4 software-managed variant: the runtime must invalidate
-            // the ABTB itself after rewriting GOT slots.
-            self.machine.invalidate_abtb();
-        }
-        Ok(n)
+        self.inner.unbind_active(victim)
     }
 
     /// Rebinds `symbol` to the copy exported by `provider` (a library
@@ -497,61 +335,7 @@ impl System {
     /// [`SystemError::UnknownSymbol`] when the provider or symbol is
     /// missing.
     pub fn rebind_symbol(&mut self, symbol: &str, provider: &str) -> Result<u64, SystemError> {
-        let module = self
-            .image
-            .module(provider)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: provider.to_owned(),
-            })?;
-        let new_target = module
-            .export(symbol)
-            .ok_or_else(|| SystemError::UnknownSymbol {
-                symbol: symbol.to_owned(),
-                provider: provider.to_owned(),
-            })?;
-        let provider_idx = module.index;
-        let mut n = 0;
-        let slots: Vec<(usize, usize, VirtAddr)> = self
-            .image
-            .modules()
-            .iter()
-            .flat_map(|m| {
-                m.plt_slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.symbol == symbol)
-                    .map(move |(i, s)| (m.index, i, s.got_slot))
-            })
-            .collect();
-        for (module_idx, import_idx, got_slot) in slots {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, new_target.as_u64())?;
-            self.machine.broadcast_store(got_slot);
-            if let Some(b) = self
-                .resolution
-                .lock()
-                .expect("resolution mutex poisoned")
-                .binding_mut(module_idx, import_idx)
-            {
-                b.target = new_target;
-            }
-            // The rebound slot supersedes whatever the prelink cache
-            // recorded for it (and clears any tombstone: the slot now
-            // points at a live provider again).
-            lock_recovering(&self.snapshot_builder).record(
-                module_idx,
-                import_idx,
-                got_slot,
-                new_target,
-                Some(provider_idx),
-            );
-            n += 1;
-        }
-        if n > 0 && !self.machine.config().accel.has_bloom() {
-            self.machine.invalidate_abtb();
-        }
-        Ok(n)
+        self.inner.rebind_active(symbol, provider)
     }
 
     /// Closes a module — `dlclose(3)` with module garbage collection.
@@ -577,53 +361,7 @@ impl System {
     ///
     /// Returns [`SystemError::UnknownModule`] if `victim` is not loaded.
     pub fn dlclose(&mut self, victim: &str) -> Result<u64, SystemError> {
-        let idx = self
-            .image
-            .module_index(victim)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: victim.to_owned(),
-            })?;
-        if self
-            .resolution
-            .lock()
-            .expect("resolution mutex poisoned")
-            .is_closed(idx)
-        {
-            return Ok(0);
-        }
-        let mut n = 0;
-        for (got_slot, stub) in self.image.unbind_writes_for(victim) {
-            self.machine
-                .space_mut()
-                .write_u64(got_slot, stub.as_u64())?;
-            n += 1;
-        }
-        self.resolution
-            .lock()
-            .expect("resolution mutex poisoned")
-            .close_module(idx);
-        // The closed module's code is about to be GC-unmapped: tombstone
-        // every prelink-cache entry resolved into it, so a later restore
-        // cannot re-arm a GOT slot into the recycled range.
-        lock_recovering(&self.snapshot_builder).tombstone(idx);
-        // Snapshot the code before tearing it down so a later dlreopen
-        // can rebuild it at the same addresses (`code_in_range` sees the
-        // backing image of demand-evicted pages too).
-        let extents = self.image.code_extents_of(victim);
-        let code = extents
-            .iter()
-            .flat_map(|&(base, len)| self.machine.space().code_in_range(base, len))
-            .collect();
-        for &(base, len) in &extents {
-            self.machine.gc_unmap_code_region(base, len);
-        }
-        self.gc_remnants
-            .insert(victim.to_owned(), GcRemnant { extents, code });
-        self.machine.note_module_gc();
-        if self.machine.config().demand_invalidate {
-            self.machine.invalidate_for_module_gc();
-        }
-        Ok(n)
+        self.inner.dlclose_active(victim)
     }
 
     /// Reopens a previously [`System::dlclose`]d module at its original
@@ -640,42 +378,7 @@ impl System {
     /// Returns [`SystemError::UnknownModule`] if `name` was never
     /// loaded.
     pub fn dlreopen(&mut self, name: &str) -> Result<bool, SystemError> {
-        let idx = self
-            .image
-            .module_index(name)
-            .ok_or_else(|| SystemError::UnknownModule {
-                name: name.to_owned(),
-            })?;
-        if !self
-            .resolution
-            .lock()
-            .expect("resolution mutex poisoned")
-            .is_closed(idx)
-        {
-            return Ok(false);
-        }
-        let remnant = self
-            .gc_remnants
-            .remove(name)
-            .expect("closed module has a GC remnant");
-        for &(base, len) in &remnant.extents {
-            self.machine
-                .space_mut()
-                .map_code_region(base, len, Perms::RX)?;
-        }
-        for &(addr, inst) in &remnant.code {
-            self.machine.space_mut().place_code(addr, inst)?;
-        }
-        if self.link.demand_paging && self.image.mode() == LinkMode::DynamicLazy {
-            for &(base, len) in &remnant.extents {
-                self.machine.space_mut().evict_code_region(base, len);
-            }
-        }
-        self.resolution
-            .lock()
-            .expect("resolution mutex poisoned")
-            .reopen_module(idx);
-        Ok(true)
+        self.inner.reopen_active(name)
     }
 
     /// Evicts one resident code page of `lib`'s text section (demand
@@ -689,36 +392,15 @@ impl System {
     ///
     /// Returns [`SystemError::UnknownModule`] if `lib` is not loaded.
     pub fn evict_lib_page(&mut self, lib: &str, page: u64) -> Result<bool, SystemError> {
-        let (idx, text_base, text_len) = {
-            let m = self
-                .image
-                .module(lib)
-                .ok_or_else(|| SystemError::UnknownModule {
-                    name: lib.to_owned(),
-                })?;
-            (m.index, m.text_base, m.text_len.max(1))
-        };
-        if self
-            .resolution
-            .lock()
-            .expect("resolution mutex poisoned")
-            .is_closed(idx)
-        {
-            return Ok(false);
-        }
-        let pages = text_len.div_ceil(PAGE_BYTES);
-        let addr = text_base + (page % pages) * PAGE_BYTES;
-        let evicted = self.machine.evict_code_page(addr)?;
-        Ok(evicted)
+        self.inner.evict_active_page(lib, page)
     }
 
     /// Freezes the in-memory prelink cache into a serializable
     /// [`ResolutionSnapshot`], stamped with the live process's
-    /// [`fingerprint`] — the "stable linking" capture step.
+    /// [`fingerprint`](dynlink_linker::fingerprint) — the "stable
+    /// linking" capture step.
     pub fn capture_snapshot(&self) -> ResolutionSnapshot {
-        let table = self.resolution.lock().expect("resolution mutex poisoned");
-        let fp = fingerprint(&self.image, &table, self.link.hw_level);
-        lock_recovering(&self.snapshot_builder).snapshot(fp)
+        self.inner.capture_snapshot_of(0)
     }
 
     /// Restores a serialized resolution snapshot into the running
@@ -749,15 +431,7 @@ impl System {
         &mut self,
         snapshot: &ResolutionSnapshot,
     ) -> Result<RestoreOutcome, SystemError> {
-        let validate = self.machine.config().prelink_validate;
-        if validate {
-            let table = self.resolution.lock().expect("resolution mutex poisoned");
-            let live = fingerprint(&self.image, &table, self.link.hw_level);
-            if snapshot.fingerprint != live {
-                return Ok(RestoreOutcome::Fallback);
-            }
-        }
-        self.install_entries(&snapshot.entries, validate)
+        self.inner.restore_snapshot_for(0, snapshot)
     }
 
     /// Re-installs the process's *own* in-memory prelink cache into the
@@ -772,84 +446,32 @@ impl System {
     ///
     /// Propagates memory faults from GOT writes.
     pub fn prelink_restore_self(&mut self) -> Result<RestoreOutcome, SystemError> {
-        let entries: Vec<SnapshotEntry> = {
-            let b = lock_recovering(&self.snapshot_builder);
-            b.iter().copied().collect()
-        };
-        let validate = self.machine.config().prelink_validate;
-        self.install_entries(&entries, validate)
-    }
-
-    fn install_entries(
-        &mut self,
-        entries: &[SnapshotEntry],
-        validate: bool,
-    ) -> Result<RestoreOutcome, SystemError> {
-        let mut installed = 0;
-        let mut skipped = 0;
-        let epoch = lock_recovering(&self.snapshot_builder).epoch();
-        for e in entries {
-            let skip = validate && {
-                let table = self.resolution.lock().expect("resolution mutex poisoned");
-                e.should_skip(&table)
-            };
-            if skip {
-                skipped += 1;
-                lock_recovering(&self.telemetry).record(
-                    e.module as usize,
-                    e.import as usize,
-                    ResolutionKind::CacheMiss,
-                    e.got_slot,
-                    e.target,
-                    epoch,
-                );
-                continue;
-            }
-            self.machine
-                .space_mut()
-                .write_u64(e.got_slot, e.target.as_u64())?;
-            self.machine.broadcast_store(e.got_slot);
-            installed += 1;
-            lock_recovering(&self.telemetry).record(
-                e.module as usize,
-                e.import as usize,
-                ResolutionKind::CacheHit,
-                e.got_slot,
-                e.target,
-                epoch,
-            );
-        }
-        if installed > 0 && !self.machine.config().accel.has_bloom() {
-            // §3.4 software-managed variant: explicit invalidation after
-            // rewriting GOT slots.
-            self.machine.invalidate_abtb();
-        }
-        Ok(RestoreOutcome::Restored { installed, skipped })
+        self.inner.prelink_restore_active()
     }
 
     /// What the boot-time prelink restore did, when this system was
     /// built with [`SystemBuilder::prelink_snapshot`].
     pub fn prelink_outcome(&self) -> Option<RestoreOutcome> {
-        self.prelink_outcome
+        self.inner.prelink_outcome_of(0)
     }
 
     /// A copy of the in-memory prelink cache (test/telemetry access).
     pub fn snapshot_builder(&self) -> SnapshotBuilder {
-        lock_recovering(&self.snapshot_builder).clone()
+        self.inner.snapshot_builder_of(0)
     }
 
     /// Drains the resolution telemetry collected so far, in event order.
     pub fn take_resolution_telemetry(&mut self) -> Vec<ResolutionRecord> {
-        lock_recovering(&self.telemetry).take()
+        self.inner.take_resolution_telemetry()
     }
 }
 
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
-            .field("entry", &self.image.entry())
-            .field("mode", &self.image.mode())
-            .field("machine", &self.machine)
+            .field("entry", &self.image().entry())
+            .field("mode", &self.image().mode())
+            .field("machine", self.machine())
             .finish_non_exhaustive()
     }
 }
