@@ -419,6 +419,10 @@ impl MultiProcessSystem {
         Ok(mps)
     }
 
+    /// Locks the resolver state. Recovering a poisoned guard is sound:
+    /// the resolver's only panics (an unknown binding key, an unmapped
+    /// GOT slot) come before it changes anything, and every other
+    /// update is one call on one table, cache or writer.
     fn linker(&self) -> MutexGuard<'_, Linker> {
         lock_recovering(&self.linker)
     }

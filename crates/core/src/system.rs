@@ -137,13 +137,13 @@ impl SystemBuilder {
         if self.modules.is_empty() {
             return Err(SystemError::NoModules);
         }
-        let mut cfg = self.machine;
+        let mut machine_cfg = self.machine;
         if let Some(accel) = self.accel {
-            cfg.accel = accel;
+            machine_cfg.accel = accel;
         }
         let mut parts = BootParts::default();
         parts.load(&self.modules, self.link)?;
-        let inner = MultiProcessSystem::boot(parts, cfg, None, 1, vec![self.prelink])?;
+        let inner = MultiProcessSystem::boot(parts, machine_cfg, None, 1, vec![self.prelink])?;
         Ok(System { inner })
     }
 }
@@ -845,6 +845,25 @@ mod tests {
         s.restart();
         s.run(100_000).unwrap();
         assert_eq!(s.reg(Reg::R0), 10, "lib1 interposes again");
+    }
+
+    #[test]
+    fn dlopened_module_is_refcounted_like_a_loaded_one() {
+        // `dlclose` counts a module as collected only when its last
+        // reference drops, so `dlopen` must take one.
+        let mut s = counting_system(LinkAccel::Abtb, LinkMode::DynamicLazy, 10);
+        let mut lib = ModuleBuilder::new("libv2");
+        lib.begin_function("inc", true);
+        lib.asm().push(Inst::add_imm(Reg::R0, 100));
+        lib.asm().push(Inst::Ret);
+        s.dlopen(lib.finish().unwrap()).unwrap();
+        let before = s.mem_stats().pages_mapped;
+        assert_eq!(s.dlclose("libv2").unwrap(), 0, "nothing was bound into it");
+        assert_eq!(s.counters().modules_gcd, 1);
+        assert!(s.mem_stats().pages_mapped < before, "code pages unmapped");
+        assert!(s.dlreopen("libv2").unwrap());
+        s.run(100_000).unwrap();
+        assert_eq!(s.reg(Reg::R0), 10, "libinc still interposes");
     }
 
     #[test]
