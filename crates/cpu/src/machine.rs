@@ -90,29 +90,63 @@ struct Exec {
     skipped: Option<VirtAddr>,
 }
 
-/// A predecoded slot: the instruction at a byte offset plus its
-/// precomputed PLT membership and retire-pattern role, or `None` where
-/// no instruction starts.
-type PredecodedSlot = Option<(Inst, bool, Role)>;
+/// A predecoded instruction plus its precomputed PLT membership and
+/// retire-pattern role.
+type Predecoded = (Inst, bool, Role);
 
-// The role rides in the slot's padding: a predecoded page stays 4096
-// slots of 40 bytes.
-const _: () = assert!(std::mem::size_of::<PredecodedSlot>() == 40);
+// The flag and the role ride in the instruction's padding.
+const _: () = assert!(std::mem::size_of::<Predecoded>() == 40);
+
+/// `PageCode::at` entry for a byte offset where no instruction starts.
+/// Larger than any index into `PageCode::insts` (a page holds at most
+/// one instruction per byte offset), so looking it up finds nothing.
+const NO_INST: u16 = u16::MAX;
+
+/// The decoded instructions of one code page: an 8 KiB offset index
+/// plus one 40-byte entry per placed instruction. A page costs about
+/// its instructions (an entry for every byte offset would be 160 KiB),
+/// and unless a page holds more than 3,276 instructions no buffer
+/// exceeds glibc's 128 KiB mmap threshold, so the host cost of a decode
+/// does not depend on where the allocator places it.
+#[derive(Default)]
+struct PageCode {
+    /// Byte offset -> index into `insts`, [`NO_INST`] where no
+    /// instruction was placed at decode time.
+    at: Box<[u16]>,
+    /// The placed instructions, in offset order, then backfills.
+    insts: Vec<Predecoded>,
+}
+
+impl PageCode {
+    /// The instruction predecoded at byte offset `off`, if any.
+    #[inline]
+    fn get(&self, off: usize) -> Option<Predecoded> {
+        self.insts.get(usize::from(self.at[off])).copied()
+    }
+
+    /// Records `entry` at byte offset `off`, which holds none yet.
+    fn insert(&mut self, off: usize, entry: Predecoded) {
+        debug_assert_eq!(self.at[off], NO_INST);
+        self.at[off] = u16::try_from(self.insts.len())
+            .expect("a page holds at most one instruction per byte offset");
+        self.insts.push(entry);
+    }
+}
+
+/// Upper bound on live predecode-arena pages. Small multi-process runs
+/// never approach it; a fleet of thousands of *diverged* tenants
+/// (post-churn, every tenant private) would otherwise grow the arena
+/// without bound. Exceeding the cap recycles slots round-robin — purely
+/// a simulator-memory policy, architecturally invisible like every
+/// other predecode decision.
+const PREDECODE_CAPACITY: usize = 1024;
 
 /// One page worth of predecoded instructions, tagged with everything
-/// that could invalidate it. Purely a simulator speedup: the dense
-/// `slots` array turns the per-instruction decode into an index load,
+/// that could invalidate it. Purely a simulator speedup: the page's
+/// offset index turns the per-instruction decode into two index loads,
 /// and each entry carries its precomputed PLT membership and pattern
 /// role so the retire stage never rescans `plt_ranges` or re-derives
 /// the role for the common (executed-pc) case.
-/// Upper bound on live predecode-arena pages (~160 KiB each). Small
-/// multi-process runs never approach it; a fleet of thousands of
-/// *diverged* tenants (post-churn, every tenant private) would
-/// otherwise grow the arena without bound. Exceeding the cap recycles
-/// slots round-robin — purely a simulator-memory policy, architecturally
-/// invisible like every other predecode decision.
-const PREDECODE_CAPACITY: usize = 1024;
-
 struct PredecodedPage {
     /// Identity of the space the page was decoded from
     /// ([`AddressSpace::code_uid`] — never reused across code-state
@@ -128,9 +162,8 @@ struct PredecodedPage {
     /// `Core::plt_epoch` at decode time (re-declaring PLT ranges
     /// invalidates the cached `in_plt` flags).
     plt_epoch: u64,
-    /// One slot per byte offset: `Some((inst, in_plt, role))` where an
-    /// instruction was placed at decode time, `None` elsewhere.
-    slots: Box<[PredecodedSlot]>,
+    /// The instructions placed on the page at decode time.
+    code: PageCode,
 }
 
 /// State shared by every core of a [`Machine`]: the (active) address
@@ -191,7 +224,7 @@ impl Shared {
 
     /// PLT membership via binary search over the sorted, disjoint
     /// ranges normalized by [`Machine::set_plt_ranges`]. The hot path
-    /// (retired pcs) answers this from the predecoded slot instead;
+    /// (retired pcs) answers this from the predecoded entry instead;
     /// this is the fallback for addresses outside predecoded pages
     /// (e.g. skipped-trampoline targets) and for page predecode itself.
     fn is_plt(&self, addr: VirtAddr) -> bool {
@@ -212,21 +245,21 @@ impl Shared {
         if let Some(&idx) = self.page_index.get(&(uid, pn)) {
             let p = &self.predecoded[idx];
             if p.version != version || p.plt_epoch != self.plt_epoch {
-                let slots = self.decode_page(pn, pc)?;
+                let code = self.decode_page(pn, pc)?;
                 let p = &mut self.predecoded[idx];
                 p.version = version;
                 p.plt_epoch = self.plt_epoch;
-                p.slots = slots;
+                p.code = code;
             }
             return Ok(idx);
         }
-        let slots = self.decode_page(pn, pc)?;
+        let code = self.decode_page(pn, pc)?;
         let page = PredecodedPage {
             uid,
             pn,
             version,
             plt_epoch: self.plt_epoch,
-            slots,
+            code,
         };
         let idx = if let Some(idx) = self.free.pop() {
             self.predecoded[idx] = page;
@@ -278,22 +311,27 @@ impl Shared {
         if let Some(idx) = self.page_index.remove(&(uid, pn)) {
             // Space uids start at 1, so 0 can never match a live space.
             self.predecoded[idx].uid = 0;
-            self.predecoded[idx].slots = Box::new([]);
+            self.predecoded[idx].code = PageCode::default();
             self.free.push(idx);
         }
     }
 
-    /// Decodes every placed instruction on `pc`'s page into a dense
-    /// slot array, pairing each with its PLT membership and pattern
-    /// role. Page-level checks (mapped, executable, code kind) error
-    /// against `pc` just as `fetch_code(pc)` would.
-    fn decode_page(&self, pn: u64, pc: VirtAddr) -> Result<Box<[PredecodedSlot]>, MemError> {
-        let mut slots = vec![None; PAGE_BYTES as usize].into_boxed_slice();
+    /// Decodes every placed instruction on `pc`'s page, pairing each
+    /// with its PLT membership and pattern role. Page-level checks
+    /// (mapped, executable, code kind) error against `pc` just as
+    /// `fetch_code(pc)` would.
+    fn decode_page(&self, pn: u64, pc: VirtAddr) -> Result<PageCode, MemError> {
+        let placed = self.space.code_page_insts(pc)?;
+        let mut code = PageCode {
+            at: vec![NO_INST; PAGE_BYTES as usize].into_boxed_slice(),
+            insts: Vec::with_capacity(placed.size_hint().0),
+        };
         let base = VirtAddr::new(pn * PAGE_BYTES);
-        for (off, inst) in self.space.code_page_insts(pc)? {
-            slots[off as usize] = Some((inst, self.is_plt(base + u64::from(off)), Role::of(&inst)));
+        for (off, inst) in placed {
+            let entry = (inst, self.is_plt(base + u64::from(off)), Role::of(&inst));
+            code.insert(usize::from(off), entry);
         }
-        Ok(slots)
+        Ok(code)
     }
 }
 
@@ -393,15 +431,11 @@ impl Core {
     /// and pattern role — through the shared predecoded-page arena.
     ///
     /// Fast path: `pc` lands on the same page as this core's previous
-    /// fetch and the page's tags are still current, so the answer is one
-    /// bounds-checked index away. Slow path: consult the shared
+    /// fetch and the page's tags are still current, so the answer is two
+    /// index loads away. Slow path: consult the shared
     /// `page_index`, rebuilding or creating the page as needed.
     #[inline]
-    fn fetch_decoded(
-        &mut self,
-        shared: &mut Shared,
-        pc: VirtAddr,
-    ) -> Result<(Inst, bool, Role), MemError> {
+    fn fetch_decoded(&mut self, shared: &mut Shared, pc: VirtAddr) -> Result<Predecoded, MemError> {
         let pn = pc.page_number(PAGE_BYTES);
         let off = pc.page_offset(PAGE_BYTES) as usize;
         let uid = shared.space.code_uid();
@@ -418,7 +452,7 @@ impl Core {
             _ => shared.locate_page(uid, pn, version, pc)?,
         };
         self.last_page = idx;
-        if let Some(entry) = shared.predecoded[idx].slots[off] {
+        if let Some(entry) = shared.predecoded[idx].code.get(off) {
             return Ok(entry);
         }
         // No instruction here at predecode time. `place_code` may have
@@ -428,7 +462,7 @@ impl Core {
         // uncached path reports — and backfill the slot on success.
         let inst = shared.space.fetch_code(pc)?;
         let entry = (inst, shared.is_plt(pc), Role::of(&inst));
-        shared.predecoded[idx].slots[off] = Some(entry);
+        shared.predecoded[idx].code.insert(off, entry);
         Ok(entry)
     }
 
@@ -2230,6 +2264,29 @@ mod tests {
         assert_eq!(m.reg(Reg::R0), 7);
         assert_eq!(m.counters().demand_faults_in, 1);
         assert_eq!(m.counters().demand_faults_out, 0);
+    }
+
+    #[test]
+    fn predecoded_page_stores_only_its_placed_instructions() {
+        let mut s = space();
+        let pcs = place(
+            &mut s,
+            &[
+                Inst::mov_imm(Reg::R0, 1),
+                Inst::add_imm(Reg::R0, 2),
+                Inst::Halt,
+            ],
+        );
+        let mut m = machine_with(MachineConfig::baseline(), s);
+        m.run(100).unwrap();
+        let key = (m.shared.space.code_uid(), TEXT / PAGE_BYTES);
+        let code = &m.shared.predecoded[m.shared.page_index[&key]].code;
+        assert_eq!(code.insts.len(), 3);
+        for pc in pcs {
+            assert!(code.get(pc.page_offset(PAGE_BYTES) as usize).is_some());
+        }
+        // Offset 1 lies inside the 7-byte `mov`: nothing starts there.
+        assert!(code.get(1).is_none());
     }
 
     #[test]

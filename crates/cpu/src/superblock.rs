@@ -7,7 +7,7 @@
 //! which also serves host calls, demand fault-in and `superblock:
 //! false`) is a 1-op block: it lowers the predecoded instruction on the
 //! fly, paying a fixed tax on every retired instruction — revalidate
-//! the predecoded page, bounds-check the slot, lower, and re-check run
+//! the predecoded page, look up the instruction, lower, and re-check run
 //! bookkeeping that cannot change mid-straight-line-run. The superblock
 //! engine pays that tax once, at translation time: a hot straight-line
 //! region — a run of instructions ending at a control transfer, a
